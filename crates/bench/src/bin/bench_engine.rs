@@ -2,30 +2,32 @@
 //! canonical simulation point, written to `BENCH_engine.json` so the
 //! per-point speed trajectory is visible across commits.
 //!
-//! Two backends are timed: the production calendar-queue scheduler
-//! (`simulate`) and the reference binary-heap queue
-//! (`try_simulate_reference`). Each backend gets `trials` timed windows
-//! and reports its **best** window — per-point simulation time is what
-//! the sweep harness pays, and the best window is the least
-//! scheduler-noise-contaminated estimate of it. The two backends are also
-//! checked against each other for report equality (the full equivalence
-//! oracle lives in `tests/engine_equivalence.rs`).
+//! The point is simulated back to back for `trials` timed windows. The
+//! report carries the **best** window (`events_per_sec`) — per-point
+//! simulation time is what the sweep harness pays, and the best window is
+//! the least scheduler-noise-contaminated estimate of it — and the median
+//! window (`events_per_sec_median`), so the spread between the two shows
+//! how noisy the host was.
 //!
 //! ```text
 //! bench_engine [--quick] [--check-against <json>] [--out <json>]
 //! ```
 //!
 //! `--check-against` reads a previously committed `BENCH_engine.json`,
-//! re-measures, and exits non-zero if fresh calendar events/sec fall more
-//! than 20% below the committed figure — the CI regression gate. In this
-//! mode results go to `BENCH_engine.ci.json` (kept as an artifact) so the
-//! committed baseline is never clobbered by a gate run.
+//! re-measures, and exits 1 if fresh best-window events/sec fall more
+//! than 20% below the committed `events_per_sec` — the CI regression
+//! gate. In this mode results go to `BENCH_engine.ci.json` (kept as an
+//! artifact) so the committed baseline is never clobbered by a gate run.
+//! Bad arguments print the usage line and exit 2.
+use std::process::ExitCode;
 use std::time::Instant; // simaudit:allow(no-wall-clock): wall-clock benchmark
 
-use netsparse::{simulate, try_simulate_reference, ClusterConfig, SimReport};
+use netsparse::{simulate, ClusterConfig};
 use netsparse_netsim::Topology;
 use netsparse_sparse::suite::SuiteConfig;
 use netsparse_sparse::{CommWorkload, SuiteMatrix};
+
+const USAGE: &str = "usage: bench_engine [--quick] [--check-against <json>] [--out <json>]";
 
 /// Pre-PR events/sec on this point, measured on the same runner with the
 /// binary-heap engine and BTree hot state (commit 82e30d8). The committed
@@ -51,23 +53,28 @@ fn canonical_point(seed: u64) -> (ClusterConfig, CommWorkload) {
     (ClusterConfig::mini(topo, 16), wl)
 }
 
-/// Repeats `run` until `window_s` elapses and returns events/sec for the
-/// window; `trials` windows, best one wins.
-fn best_eps(trials: u32, window_s: f64, run: impl Fn() -> SimReport) -> (f64, u64) {
-    let mut best = 0.0f64;
+/// Simulates the point back to back until `window_s` elapses, `trials`
+/// times; returns events/sec of every window in ascending order and the
+/// events of one run.
+fn window_eps(
+    trials: u32,
+    window_s: f64,
+    cfg: &ClusterConfig,
+    wl: &CommWorkload,
+) -> (Vec<f64>, u64) {
+    let mut windows = Vec::new();
     let mut events_per_run = 0u64;
     for _ in 0..trials {
         let mut total = 0u64;
         let t = Instant::now(); // simaudit:allow(no-wall-clock): wall-clock benchmark
         while t.elapsed().as_secs_f64() < window_s {
-            let r = run();
-            events_per_run = r.events;
-            total += r.events;
+            events_per_run = simulate(cfg, wl).events;
+            total += events_per_run;
         }
-        let eps = total as f64 / t.elapsed().as_secs_f64();
-        best = best.max(eps);
+        windows.push(total as f64 / t.elapsed().as_secs_f64());
     }
-    (best, events_per_run)
+    windows.sort_by(f64::total_cmp);
+    (windows, events_per_run)
 }
 
 /// Pulls `"key": <number>` out of a hand-rolled JSON report.
@@ -81,7 +88,13 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-fn main() {
+/// Prints `msg` and the usage line; the exit code for a bad invocation.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("bench_engine: {msg}\n{USAGE}");
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
     let mut quick = false;
     let mut check_against: Option<String> = None;
     let mut out: Option<String> = None;
@@ -89,11 +102,15 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--check-against" => {
-                check_against = Some(args.next().expect("--check-against needs a file"));
-            }
-            "--out" => out = Some(args.next().expect("--out needs a file")),
-            other => panic!("unknown flag {other}; usage: bench_engine [--quick] [--check-against json] [--out json]"),
+            "--check-against" => match args.next() {
+                Some(path) => check_against = Some(path),
+                None => return usage_error("--check-against needs a file"),
+            },
+            "--out" => match args.next() {
+                Some(path) => out = Some(path),
+                None => return usage_error("--out needs a file"),
+            },
+            other => return usage_error(&format!("unknown flag {other}")),
         }
     }
     let (trials, window_s) = if quick { (3u32, 0.25) } else { (5u32, 0.6) };
@@ -106,44 +123,43 @@ fn main() {
     });
 
     let (cfg, wl) = canonical_point(7);
-    // Warm up both paths and pin the cheap cross-backend sanity check:
-    // identical reports, identical audit digests (when compiled in).
-    let cal = simulate(&cfg, &wl);
-    let heap = try_simulate_reference(&cfg, &wl).expect("reference run failed");
-    assert_eq!(cal.events, heap.events, "backend event counts diverged");
-    assert_eq!(cal.comm_time, heap.comm_time, "backend comm_time diverged");
-    assert_eq!(
-        cal.audit_digest, heap.audit_digest,
-        "backend event digests diverged"
-    );
+    simulate(&cfg, &wl); // warm-up
+    let (windows, events_per_run) = window_eps(trials, window_s, &cfg, &wl);
+    let best = windows[windows.len() - 1];
+    // `trials` is odd, so the middle window is the median.
+    let median = windows[windows.len() / 2];
 
-    let (cal_eps, events_per_run) = best_eps(trials, window_s, || simulate(&cfg, &wl));
-    let (heap_eps, _) = best_eps(trials, window_s, || {
-        try_simulate_reference(&cfg, &wl).expect("reference run failed")
-    });
-
-    let wall_us_per_run = events_per_run as f64 / cal_eps * 1e6;
+    let wall_us_per_run = events_per_run as f64 / best * 1e6;
     let json = format!(
-        "{{\n  \"bench\": \"engine_throughput\",\n  \"point\": \"leafspine 2x4 + 2 spines, uk @ scale 0.1, seed 7, K=16\",\n  \"events_per_run\": {events_per_run},\n  \"trials\": {trials},\n  \"trial_window_s\": {window_s},\n  \"events_per_sec_calendar\": {cal_eps:.0},\n  \"events_per_sec_heap\": {heap_eps:.0},\n  \"wall_us_per_run\": {wall_us_per_run:.1},\n  \"calendar_vs_heap\": {:.2},\n  \"baseline_events_per_sec\": {BASELINE_EPS:.0},\n  \"speedup_vs_baseline\": {:.2}\n}}\n",
-        cal_eps / heap_eps,
-        cal_eps / BASELINE_EPS,
+        "{{\n  \"bench\": \"engine_throughput\",\n  \"point\": \"leafspine 2x4 + 2 spines, uk @ scale 0.1, seed 7, K=16\",\n  \"events_per_run\": {events_per_run},\n  \"trials\": {trials},\n  \"trial_window_s\": {window_s},\n  \"events_per_sec\": {best:.0},\n  \"events_per_sec_median\": {median:.0},\n  \"wall_us_per_run\": {wall_us_per_run:.1},\n  \"baseline_events_per_sec\": {BASELINE_EPS:.0},\n  \"speedup_vs_baseline\": {:.2}\n}}\n",
+        best / BASELINE_EPS,
     );
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
+    if let Err(e) = std::fs::write(&out, &json) {
+        eprintln!("bench_engine: write {out}: {e}");
+        return ExitCode::from(2);
+    }
     println!("{json}");
 
     if let Some(path) = check_against {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        let committed_eps = json_number(&committed, "events_per_sec_calendar")
-            .unwrap_or_else(|| panic!("{path} has no events_per_sec_calendar"));
+        let committed = match std::fs::read_to_string(&path) {
+            Ok(s) => s,
+            Err(e) => return usage_error(&format!("read {path}: {e}")),
+        };
+        let Some(committed_eps) = json_number(&committed, "events_per_sec") else {
+            return usage_error(&format!("{path} has no events_per_sec"));
+        };
         let floor = committed_eps * 0.8;
         eprintln!(
-            "[regression gate: fresh {cal_eps:.0} events/s vs committed {committed_eps:.0}, \
+            "[regression gate: fresh {best:.0} events/s vs committed {committed_eps:.0}, \
              floor {floor:.0}]"
         );
-        assert!(
-            cal_eps >= floor,
-            "engine throughput regressed >20%: {cal_eps:.0} events/s vs committed {committed_eps:.0}"
-        );
+        if best < floor {
+            eprintln!(
+                "bench_engine: engine throughput regressed >20%: {best:.0} events/s vs \
+                 committed {committed_eps:.0}"
+            );
+            return ExitCode::from(1);
+        }
     }
+    ExitCode::SUCCESS
 }

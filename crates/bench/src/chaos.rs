@@ -34,10 +34,10 @@
 //! [`replay_repro`] turns back into the same violation with one command
 //! (`chaos --replay chaos_repro.json`).
 
-use netsparse::config::{FailureEvent, FaultConfig, FaultTarget, NodeDegradation, SimLimits};
+use netsparse::config::{FailureEvent, FaultConfig, FaultTarget, NodeDegradation};
 use netsparse::metrics::FaultReport;
 use netsparse::prelude::*;
-use netsparse_desim::{LossModel, SplitMix64};
+use netsparse_desim::{Liveness, LossModel, SplitMix64};
 use netsparse_sparse::suite::SuiteConfig;
 
 /// Where a scenario came from: a generator seed or a named fixture.
@@ -434,7 +434,7 @@ impl ChaosScenario {
         }
         cfg.faults = self.faults.clone();
         cfg.reduce = self.reduce;
-        cfg.limits = SimLimits {
+        cfg.limits = Liveness {
             max_events: Some(self.event_budget()),
             max_stagnant_events: Some(250_000),
         };

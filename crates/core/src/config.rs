@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use netsparse_desim::{Clock, LossModel, SimTime};
+use netsparse_desim::{Clock, Liveness, LossModel, SimTime};
 use netsparse_netsim::{LinkParams, Topology};
 use netsparse_snic::vconcat::VirtualCqConfig;
 use netsparse_snic::{HeaderSpec, SnicConfig};
@@ -552,32 +552,6 @@ impl Default for Mechanisms {
     }
 }
 
-/// Liveness limits applied by [`try_simulate`](crate::sim::try_simulate):
-/// a deterministic event budget and a zero-delay-loop bound, mapped onto
-/// [`netsparse_desim::Liveness`]. With both `None` (the default, and what
-/// every committed experiment uses) the simulator runs the exact unguarded
-/// loop it always has — digests are unchanged and the checks cost nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SimLimits {
-    /// Abort with [`SimError::Stalled`](crate::sim::SimError) once this
-    /// many events have run with work still pending.
-    pub max_events: Option<u64>,
-    /// Abort once this many consecutive events run at a frozen instant.
-    pub max_stagnant_events: Option<u64>,
-}
-
-impl SimLimits {
-    /// No limits — the unguarded default.
-    pub fn none() -> Self {
-        SimLimits::default()
-    }
-
-    /// Whether any limit is armed.
-    pub fn is_armed(&self) -> bool {
-        self.max_events.is_some() || self.max_stagnant_events.is_some()
-    }
-}
-
 /// The in-network reduction extension (the scatter-side dual of the
 /// paper's gather mechanisms, after SwitchML/Flare — see PAPERS.md).
 ///
@@ -693,10 +667,12 @@ pub struct ClusterConfig {
     pub reduce: ReduceConfig,
     /// Fault injection (§7.1); defaults to lossless.
     pub faults: FaultConfig,
-    /// Liveness limits for [`try_simulate`](crate::sim::try_simulate);
-    /// defaults to none (the run loop is unguarded and byte-identical to
-    /// the pre-limit engine).
-    pub limits: SimLimits,
+    /// Liveness budgets for [`try_simulate`](crate::sim::try_simulate):
+    /// an event budget and a zero-delay-loop bound, handed straight to
+    /// the engine's run loop. A tripped budget is
+    /// [`SimError::Stalled`](crate::sim::SimError::Stalled). Defaults to
+    /// none, which never stalls and leaves every digest unchanged.
+    pub limits: Liveness,
 }
 
 impl ClusterConfig {
@@ -717,7 +693,7 @@ impl ClusterConfig {
             concat_impl: ConcatImpl::Dedicated,
             reduce: ReduceConfig::disabled(),
             faults: FaultConfig::none(),
-            limits: SimLimits::none(),
+            limits: Liveness::none(),
         }
     }
 

@@ -46,16 +46,16 @@ pub mod experiments;
 pub mod metrics;
 pub mod sim;
 
-pub use config::{ClusterConfig, Mechanisms, ReduceConfig, SimLimits};
+pub use config::{ClusterConfig, Mechanisms, ReduceConfig};
 pub use metrics::{ReduceReport, SimReport};
-pub use sim::{simulate, try_simulate, try_simulate_reference, SimError};
+pub use sim::{simulate, try_simulate, SimError};
 #[cfg(feature = "trace")]
 pub use sim::{simulate_traced, try_simulate_traced};
 
 /// One-stop imports for examples and benches.
 pub mod prelude {
     pub use crate::baselines::{Baselines, CommComparison};
-    pub use crate::config::{ClusterConfig, Mechanisms, ReduceConfig, SimLimits};
+    pub use crate::config::{ClusterConfig, Mechanisms, ReduceConfig};
     pub use crate::experiments;
     pub use crate::metrics::{ReduceReport, SimReport};
     pub use crate::sim::{simulate, try_simulate, SimError};

@@ -17,9 +17,7 @@
 //! off), which is what lets [`simulate`] and `simulate_traced` share every
 //! line of the event loop.
 
-use netsparse_desim::{
-    Engine, Histogram, Liveness, LossProcess, Reservoir, Scheduler, SimTime, SplitMix64,
-};
+use netsparse_desim::{Engine, Histogram, LossProcess, Reservoir, Scheduler, SimTime, SplitMix64};
 use netsparse_netsim::Element;
 use netsparse_snic::{ConcatPacket, PrKind};
 use netsparse_sparse::CommWorkload;
@@ -484,9 +482,9 @@ impl<'a> World<'a> {
 /// Panics on any [`SimError`]: the workload's node count differs from the
 /// topology's, the configuration fails [`ClusterConfig::validate`] (e.g.
 /// packet loss configured without a watchdog), the topology is
-/// unroutable, or an armed [`SimLimits`](crate::config::SimLimits)
-/// liveness budget trips. Callers that must survive arbitrary generated
-/// configurations use [`try_simulate`] instead.
+/// unroutable, or a [`ClusterConfig::limits`] liveness budget trips.
+/// Callers that must survive arbitrary generated configurations use
+/// [`try_simulate`] instead.
 ///
 /// # Example
 ///
@@ -504,22 +502,7 @@ pub fn simulate(cfg: &ClusterConfig, wl: &CommWorkload) -> SimReport {
 pub fn try_simulate(cfg: &ClusterConfig, wl: &CommWorkload) -> Result<SimReport, SimError> {
     cfg.validate()?;
     let world = World::try_new(cfg, wl)?;
-    drive(world, Engine::new())
-}
-
-/// Runs exactly like [`try_simulate`] but on the engine's *reference*
-/// binary-heap event queue instead of the default calendar queue. The two
-/// paths must produce bit-identical reports and audit digests — this is
-/// the production entry point of the equivalence oracle
-/// (`tests/engine_equivalence.rs`); it is not faster or slower in any way
-/// that matters to callers.
-pub fn try_simulate_reference(
-    cfg: &ClusterConfig,
-    wl: &CommWorkload,
-) -> Result<SimReport, SimError> {
-    cfg.validate()?;
-    let world = World::try_new(cfg, wl)?;
-    drive(world, Engine::new().with_reference_queue())
+    drive(world)
 }
 
 /// Runs exactly like [`simulate`] with a structured tracer attached; the
@@ -547,16 +530,16 @@ pub fn try_simulate_traced(
     let mut world = World::try_new(cfg, wl)?;
     let tracer = Tracer::new(tcfg);
     world.attach_tracer(&tracer);
-    drive(world, Engine::new())
+    drive(world)
 }
 
 /// The single event-loop body behind [`simulate`] and `simulate_traced`:
 /// inject the fault schedule and the initial host stimuli, drain the
-/// queue through the port dispatcher, then assemble the report. With
-/// `cfg.limits` unarmed (every committed experiment) this runs the exact
-/// unguarded engine loop; armed limits route through
-/// [`Engine::run_guarded`] and surface stalls as [`SimError::Stalled`].
-fn drive(mut world: World<'_>, mut engine: Engine<Event>) -> Result<SimReport, SimError> {
+/// queue through the port dispatcher under the `cfg.limits` liveness
+/// budgets ([`Engine::run`]), then assemble the report. A tripped budget
+/// comes back as [`SimError::Stalled`].
+fn drive(mut world: World<'_>) -> Result<SimReport, SimError> {
+    let mut engine = Engine::new();
     for (t, action) in std::mem::take(&mut world.pending_transitions) {
         engine.schedule(t, Event::FaultTransition { action });
     }
@@ -569,16 +552,9 @@ fn drive(mut world: World<'_>, mut engine: Engine<Event>) -> Result<SimReport, S
     // every outstanding PR a response in flight. The liveness guard only
     // exists to turn a model bug (or an adversarial chaos scenario) into
     // a structured stall instead of a hang.
-    let limits = world.cfg.limits;
-    if limits.is_armed() {
-        let guard = Liveness {
-            max_events: limits.max_events,
-            max_stagnant_events: limits.max_stagnant_events,
-        };
-        engine.run_guarded(guard, |now, ev, sched| world.dispatch(now, ev, sched))?;
-    } else {
-        engine.run(|now, ev, sched| world.dispatch(now, ev, sched));
-    }
+    engine.run(world.cfg.limits, |now, ev, sched| {
+        world.dispatch(now, ev, sched)
+    })?;
     let digest = engine.audit_digest();
     Ok(world.into_report(engine.processed(), digest))
 }

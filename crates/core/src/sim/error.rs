@@ -40,9 +40,9 @@ pub enum SimError {
         /// Downstream switch of the named link.
         to: u32,
     },
-    /// The run tripped the liveness watchdog
-    /// ([`SimLimits`](crate::config::SimLimits)) before draining its
-    /// event queue.
+    /// The run tripped a liveness budget
+    /// ([`ClusterConfig::limits`](crate::config::ClusterConfig::limits))
+    /// before draining its event queue.
     Stalled(StallReport),
 }
 

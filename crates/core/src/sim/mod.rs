@@ -53,7 +53,7 @@ mod node;
 mod pipeline;
 mod rack;
 
-pub use driver::{simulate, try_simulate, try_simulate_reference};
+pub use driver::{simulate, try_simulate};
 #[cfg(feature = "trace")]
 pub use driver::{simulate_traced, try_simulate_traced};
 pub use error::SimError;

@@ -873,7 +873,7 @@ mod tests {
     use crate::sim::driver::{Ctx, Shared};
     use crate::sim::events::Port;
     use crate::sim::fabric::Fabric;
-    use netsparse_desim::Engine;
+    use netsparse_desim::{Engine, Liveness};
     use netsparse_netsim::Topology;
     use netsparse_sparse::Partition1D;
 
@@ -905,17 +905,19 @@ mod tests {
 
         let mut engine: Engine<Event> = Engine::new();
         engine.schedule(SimTime::ZERO, Event::HostIssue { node: 0 });
-        engine.run(|now, ev, sched| {
-            assert_eq!(ev.port(), Port::Node(0), "event escaped the node");
-            let mut ctx = Ctx {
-                cfg: &cfg,
-                wl: &wl,
-                fabric: &mut fabric,
-                shared: &mut shared,
-                sched,
-            };
-            node.handle(now, ev, &mut ctx);
-        });
+        engine
+            .run(Liveness::none(), |now, ev, sched| {
+                assert_eq!(ev.port(), Port::Node(0), "event escaped the node");
+                let mut ctx = Ctx {
+                    cfg: &cfg,
+                    wl: &wl,
+                    fabric: &mut fabric,
+                    shared: &mut shared,
+                    sched,
+                };
+                node.handle(now, ev, &mut ctx);
+            })
+            .unwrap();
 
         assert!(node.finish.is_some(), "local-only command must complete");
         assert_eq!(node.active_cmds, 0);
@@ -948,41 +950,43 @@ mod tests {
         let mut engine: Engine<Event> = Engine::new();
         engine.schedule(SimTime::ZERO, Event::HostIssue { node: 0 });
         let mut outbound: Vec<netsparse_snic::Pr> = Vec::new();
-        engine.run(|now, ev, sched| {
-            // Intercept the node's own uplink sends: the fabric would
-            // schedule PacketAtSwitch; deliver responses directly instead.
-            match ev.port() {
-                Port::Node(n) => {
-                    assert_eq!(n, 0);
-                    let mut ctx = Ctx {
-                        cfg: &cfg,
-                        wl: &wl,
-                        fabric: &mut fabric,
-                        shared: &mut shared,
-                        sched,
-                    };
-                    node.handle(now, ev, &mut ctx);
-                }
-                Port::Rack(_) => {
-                    let Event::PacketAtSwitch { pkt, .. } = ev else {
-                        unreachable!();
-                    };
-                    outbound.extend(pkt.prs.iter().copied());
-                    // Answer every read with an immediate response packet.
-                    for pr in pkt.prs {
-                        let resp = ConcatPacket::degraded_singleton(
-                            &cfg.headers,
-                            pr.src_node,
-                            PrKind::Response,
-                            pr,
-                            cfg.payload_bytes(),
-                        );
-                        sched.schedule(now, Event::PacketAtNic { node: 0, pkt: resp });
+        engine
+            .run(Liveness::none(), |now, ev, sched| {
+                // Intercept the node's own uplink sends: the fabric would
+                // schedule PacketAtSwitch; deliver responses directly instead.
+                match ev.port() {
+                    Port::Node(n) => {
+                        assert_eq!(n, 0);
+                        let mut ctx = Ctx {
+                            cfg: &cfg,
+                            wl: &wl,
+                            fabric: &mut fabric,
+                            shared: &mut shared,
+                            sched,
+                        };
+                        node.handle(now, ev, &mut ctx);
                     }
+                    Port::Rack(_) => {
+                        let Event::PacketAtSwitch { pkt, .. } = ev else {
+                            unreachable!();
+                        };
+                        outbound.extend(pkt.prs.iter().copied());
+                        // Answer every read with an immediate response packet.
+                        for pr in pkt.prs {
+                            let resp = ConcatPacket::degraded_singleton(
+                                &cfg.headers,
+                                pr.src_node,
+                                PrKind::Response,
+                                pr,
+                                cfg.payload_bytes(),
+                            );
+                            sched.schedule(now, Event::PacketAtNic { node: 0, pkt: resp });
+                        }
+                    }
+                    Port::Fabric => unreachable!("no fault schedule in this test"),
                 }
-                Port::Fabric => unreachable!("no fault schedule in this test"),
-            }
-        });
+            })
+            .unwrap();
 
         assert_eq!(outbound.len(), 2, "both remote refs must issue PRs");
         assert!(node.finish.is_some());

@@ -1,30 +1,25 @@
 //! The event queue and the simulation driver.
 //!
-//! [`EventQueue`] is a deterministic priority queue of `(time, event)` pairs:
-//! ties in time are broken by insertion order, so a simulation is a pure
-//! function of its inputs. The default backend is a calendar queue — a ring
-//! of power-of-two-width day buckets giving O(1) amortized push/pop on the
-//! roughly uniform event streams a packet simulation produces — with the
-//! original [`BinaryHeap`] kept as a reference backend
-//! ([`EventQueue::reference_heap`]) that the equivalence suite pins the
-//! calendar against. [`Engine`] wraps the queue with a run loop and
-//! bookkeeping (event counts, horizon limits) and hands each handler a
-//! [`Scheduler`] view through which new events are pushed.
+//! [`EventQueue`] is a deterministic priority queue of `(time, event)` pairs
+//! on a [`BinaryHeap`]: ties in time are broken by insertion order, so a
+//! simulation is a pure function of its inputs. [`Engine`] wraps the queue
+//! with the run loop — event counting, the optional [`Liveness`] budgets
+//! and the runtime auditor — and hands each handler a [`Scheduler`] view
+//! through which new events are pushed.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::time::SimTime;
 
-/// Liveness limits for [`Engine::run_guarded`].
+/// Liveness limits for [`Engine::run`].
 ///
 /// Both limits are optional; the default (`Liveness::none()`) imposes
-/// nothing, and `run_guarded` with it behaves exactly like
-/// [`Engine::run`]. The limits detect the two ways a discrete-event
-/// model can fail to terminate: unbounded event cascades (caught by
-/// `max_events`) and zero-delay loops where events keep firing at a
-/// frozen instant (caught by `max_stagnant_events`).
+/// nothing and the run ends when the queue drains. The limits detect the
+/// two ways a discrete-event model can fail to terminate: unbounded event
+/// cascades (caught by `max_events`) and zero-delay loops where events
+/// keep firing at a frozen instant (caught by `max_stagnant_events`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Liveness {
     /// Abort once this many events have been processed while work is
@@ -37,18 +32,13 @@ pub struct Liveness {
 }
 
 impl Liveness {
-    /// No limits: `run_guarded` degenerates to `run`.
+    /// No limits: the run drains the queue and never stalls.
     pub fn none() -> Self {
         Liveness::default()
     }
-
-    /// Whether any limit is armed.
-    pub fn is_armed(&self) -> bool {
-        self.max_events.is_some() || self.max_stagnant_events.is_some()
-    }
 }
 
-/// Why [`Engine::run_guarded`] aborted a run.
+/// Why [`Engine::run`] aborted a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallCause {
     /// The event budget was exhausted with events still pending.
@@ -58,7 +48,7 @@ pub enum StallCause {
     TimeFrozen,
 }
 
-/// A structured no-progress report from [`Engine::run_guarded`] — the
+/// A structured no-progress report from [`Engine::run`] — the
 /// alternative to a simulation that hangs forever.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StallReport {
@@ -119,199 +109,13 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Fewest day buckets the calendar ring ever holds.
-const MIN_BUCKETS: usize = 16;
-/// Most day buckets the calendar ring ever grows to.
-const MAX_BUCKETS: usize = 1 << 20;
-/// Widest day a rebuild may pick: 2^40 ps ≈ 1.1 ms per bucket.
-const MAX_SHIFT: u32 = 40;
-/// Day width before the first rebuild calibrates one: 2^13 ps ≈ 8 ns.
-const INITIAL_SHIFT: u32 = 13;
-
-/// The calendar-queue backend: a ring of power-of-two-width "day" buckets.
-///
-/// An entry's day is `time.as_ps() >> shift`; days map onto the ring
-/// modulo the (power-of-two) bucket count, so far-future days alias onto
-/// the same buckets and are skipped by the day check on pop. Each bucket
-/// stays sorted ascending by `(time, seq)`: the common push (latest entry
-/// in its bucket) is an append, and the bucket head is always the
-/// bucket's earliest entry, so pop is a head check per visited day.
-/// Rebuilds (triggered by size hysteresis, never by time) re-pick the
-/// width so pending events spread at O(1) per populated day; every
-/// decision is a pure function of queue content, keeping pop order — and
-/// therefore the audit digest — bit-identical across machines.
-struct Calendar<E> {
-    /// Ring of day buckets (power-of-two count), each sorted ascending
-    /// by `(time, seq)`. Deques so the head pop is O(1) rather than a
-    /// front-of-`Vec` memmove — the pop path runs once per event.
-    buckets: Vec<VecDeque<Entry<E>>>,
-    /// Bucket width as a power of two: an entry's day is `ps >> shift`.
-    shift: u32,
-    /// The earliest day that may still hold entries: every pending entry
-    /// has `day >= cur_day` (pushes behind the cursor rewind it).
-    cur_day: u64,
-    /// Total pending entries across all buckets.
-    len: usize,
-}
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        let mut buckets = Vec::with_capacity(MIN_BUCKETS);
-        buckets.resize_with(MIN_BUCKETS, VecDeque::default);
-        Calendar {
-            buckets,
-            shift: INITIAL_SHIFT,
-            cur_day: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn day(&self, t: SimTime) -> u64 {
-        t.as_ps() >> self.shift
-    }
-
-    #[inline]
-    fn push(&mut self, time: SimTime, seq: u64, event: E) {
-        let day = self.day(time);
-        if day < self.cur_day {
-            // Push behind the drain cursor (legal on a standalone queue):
-            // rewind so the scan revisits that day.
-            self.cur_day = day;
-        }
-        let mask = self.buckets.len() - 1;
-        let b = &mut self.buckets[(day as usize) & mask];
-        if b.back().is_none_or(|e| (e.time, e.seq) < (time, seq)) {
-            b.push_back(Entry { time, seq, event });
-        } else {
-            let pos = b.partition_point(|e| (e.time, e.seq) < (time, seq));
-            b.insert(pos, Entry { time, seq, event });
-        }
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild(self.buckets.len() * 2);
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.buckets.len() == MIN_BUCKETS {
-            // Sparse regime: at the floor ring size a direct scan of the
-            // bucket heads (16 loads, no data-dependent branching) beats
-            // day-walking across mostly-empty days and never needs the
-            // full-revolution fallback. Equal times share a day and hence
-            // a bucket, so comparing heads by time alone picks the unique
-            // global `(time, seq)` minimum — pop order is identical to
-            // the day-walk's.
-            let slot = self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| b.front().map(|e| (e.time, i)))
-                .min()
-                .map(|(_, i)| i)?;
-            let e = self.buckets[slot].pop_front()?;
-            self.cur_day = e.time.as_ps() >> self.shift;
-            self.len -= 1;
-            return Some((e.time, e.event));
-        }
-        let mask = self.buckets.len() - 1;
-        let mut hops = 0usize;
-        loop {
-            let b = &mut self.buckets[(self.cur_day as usize) & mask];
-            if b.front()
-                .is_some_and(|first| first.time.as_ps() >> self.shift == self.cur_day)
-            {
-                let e = b.pop_front()?;
-                self.len -= 1;
-                if self.len * 8 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-                    self.rebuild((self.buckets.len() / 2).max(MIN_BUCKETS));
-                }
-                return Some((e.time, e.event));
-            }
-            self.cur_day += 1;
-            hops += 1;
-            if hops > mask {
-                // A full revolution found nothing: every remaining entry
-                // lies beyond the ring horizon. Jump straight to the
-                // earliest populated day instead of walking the gap.
-                self.cur_day = self.min_day()?;
-                hops = 0;
-            }
-        }
-    }
-
-    /// The `(time, seq)`-earliest pending entry's time, by scanning the
-    /// bucket heads (each head is its bucket's minimum).
-    fn peek_time(&self) -> Option<SimTime> {
-        self.buckets
-            .iter()
-            .filter_map(|b| b.front())
-            .map(|e| (e.time, e.seq))
-            .min()
-            .map(|(t, _)| t)
-    }
-
-    /// The day of the earliest pending entry; `None` on an empty queue.
-    fn min_day(&self) -> Option<u64> {
-        self.peek_time().map(|t| self.day(t))
-    }
-
-    /// Redistributes every entry over `nbuckets` buckets, re-picking the
-    /// day width from the pending span so occupancy stays O(1) per day.
-    /// Runs on size-hysteresis boundaries only, so its cost is amortized
-    /// O(1) per push/pop; all inputs are queue content, never wall time.
-    fn rebuild(&mut self, nbuckets: usize) {
-        debug_assert!(nbuckets.is_power_of_two());
-        let mut all = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.extend(b.drain(..));
-        }
-        all.sort_unstable_by_key(|a| (a.time, a.seq));
-        if let (Some(first), Some(last)) = (all.first(), all.last()) {
-            // Aim for ~2 days per pending event: sparse enough that a
-            // day bucket holds O(1) entries, dense enough that pop's
-            // day-advance rarely crosses long empty stretches.
-            let span = last.time.as_ps() - first.time.as_ps();
-            let width = (span / (2 * all.len() as u64)).max(1);
-            self.shift = width.ilog2().min(MAX_SHIFT);
-            self.cur_day = self.day(first.time);
-        }
-        if nbuckets > self.buckets.len() {
-            self.buckets.resize_with(nbuckets, VecDeque::default);
-        } else {
-            self.buckets.truncate(nbuckets);
-        }
-        let mask = nbuckets - 1;
-        for e in all {
-            let slot = (self.day(e.time) as usize) & mask;
-            self.buckets[slot].push_back(e);
-        }
-    }
-}
-
-/// The queue's storage strategy (see [`EventQueue::reference_heap`]).
-enum Backend<E> {
-    /// The default bucketed scheduler.
-    Calendar(Calendar<E>),
-    /// The original binary-heap implementation, kept as the behavioral
-    /// reference the calendar is pinned against.
-    Heap(BinaryHeap<Entry<E>>),
-}
-
 /// A deterministic min-priority queue of timestamped events.
 ///
 /// Events that share a timestamp are delivered in the order they were
 /// scheduled (FIFO), which makes simulations reproducible run-to-run and
-/// across machines.
-///
-/// The default backend is a calendar queue (O(1) amortized push/pop);
-/// [`EventQueue::reference_heap`] builds the original binary-heap variant,
-/// which delivers the exact same `(time, seq)` stream and exists so
-/// equivalence tests and benchmarks can compare the two.
+/// across machines: every entry carries a unique insertion sequence
+/// number, so `(time, seq)` is a total order and the pop stream is a pure
+/// function of the pushes.
 ///
 /// # Example
 ///
@@ -327,7 +131,7 @@ enum Backend<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Entry<E>>,
     seq: u64,
 }
 
@@ -338,23 +142,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default calendar backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            backend: Backend::Calendar(Calendar::new()),
-            seq: 0,
-        }
-    }
-
-    /// Creates an empty queue on the binary-heap reference backend.
-    ///
-    /// Pop order is identical to [`EventQueue::new`]; the heap exists as
-    /// the independent implementation the calendar queue is checked
-    /// against (see `tests/engine_equivalence.rs`) and as the baseline
-    /// `bench_engine` measures speedups over.
-    pub fn reference_heap() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::default()),
+            heap: BinaryHeap::new(),
             seq: 0,
         }
     }
@@ -364,43 +155,25 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.backend {
-            Backend::Calendar(c) => c.push(time, seq, event),
-            Backend::Heap(h) => h.push(Entry { time, seq, event }),
-        }
+        self.heap.push(Entry { time, seq, event });
     }
 
     /// Removes and returns the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Calendar(c) => c.pop(),
-            Backend::Heap(h) => h.pop().map(|e| (e.time, e.event)),
-        }
-    }
-
-    /// The timestamp of the earliest pending event.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(c) => c.peek_time(),
-            Backend::Heap(h) => h.peek().map(|e| e.time),
-        }
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.len,
-            Backend::Heap(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -488,8 +261,6 @@ pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
     processed: u64,
-    max_events: Option<u64>,
-    horizon: SimTime,
     #[cfg(any(debug_assertions, feature = "audit"))]
     auditor: crate::audit::Auditor,
 }
@@ -501,51 +272,15 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// Creates an engine at time zero with no event or horizon limits.
+    /// Creates an engine at time zero with an empty queue.
     pub fn new() -> Self {
         Engine {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
-            max_events: None,
-            horizon: SimTime::MAX,
             #[cfg(any(debug_assertions, feature = "audit"))]
             auditor: crate::audit::Auditor::new(),
         }
-    }
-
-    /// Limits the total number of events processed by [`Engine::run`];
-    /// useful as a runaway guard in tests.
-    #[must_use]
-    pub fn with_max_events(mut self, max: u64) -> Self {
-        self.max_events = Some(max);
-        self
-    }
-
-    /// Stops the run loop once simulated time passes `horizon` (events at
-    /// exactly `horizon` still run).
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Swaps the default calendar queue for the binary-heap reference
-    /// backend ([`EventQueue::reference_heap`]). Event order and digests
-    /// are identical either way; the equivalence suite and `bench_engine`
-    /// use this to run both implementations against each other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events were already scheduled (the swap would drop them).
-    #[must_use]
-    pub fn with_reference_queue(mut self) -> Self {
-        assert!(
-            self.queue.is_empty(),
-            "with_reference_queue must be called before scheduling events"
-        );
-        self.queue = EventQueue::reference_heap();
-        self
     }
 
     /// Schedules an event from outside the run loop (initial stimulus).
@@ -602,61 +337,21 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Runs until the queue drains (or a limit is hit), delivering each
-    /// event to `handler` along with the current time and a [`Scheduler`].
+    /// Runs until the queue drains, delivering each event to `handler`
+    /// along with the current time and a [`Scheduler`], and returns the
+    /// final simulation time.
     ///
-    /// Returns the final simulation time.
-    pub fn run<F>(&mut self, mut handler: F) -> SimTime
-    where
-        F: FnMut(SimTime, E, &mut Scheduler<'_, E>),
-    {
-        while let Some((time, event)) = self.queue.pop() {
-            if time > self.horizon {
-                // Past the horizon: drop the event and stop.
-                break;
-            }
-            debug_assert!(time >= self.now, "event queue violated time order");
-            self.now = time;
-            self.processed += 1;
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            self.auditor.record_event(time);
-            let mut sched = Scheduler {
-                queue: &mut self.queue,
-                now: time,
-            };
-            handler(time, event, &mut sched);
-            if let Some(max) = self.max_events {
-                if self.processed >= max {
-                    break;
-                }
-            }
-        }
-        self.now
-    }
-
-    /// Runs like [`Engine::run`], but under the liveness limits in
-    /// `guard`: instead of hanging on a runaway or zero-delay model,
-    /// the loop aborts with a structured [`StallReport`].
-    ///
-    /// With `Liveness::none()` this is behaviorally identical to
-    /// `run` (same event order, same audit digest, never errs).
+    /// `guard` bounds the run: instead of hanging on a runaway or
+    /// zero-delay model, the loop aborts with a structured
+    /// [`StallReport`]. With `Liveness::none()` the run never errs.
     /// Draining the queue exactly on the event budget's last event is
-    /// normal termination, not a stall; the engine's own
-    /// [`Engine::with_max_events`] guard still applies and still
-    /// truncates silently.
-    pub fn run_guarded<F>(
-        &mut self,
-        guard: Liveness,
-        mut handler: F,
-    ) -> Result<SimTime, StallReport>
+    /// normal termination, not a stall.
+    pub fn run<F>(&mut self, guard: Liveness, mut handler: F) -> Result<SimTime, StallReport>
     where
         F: FnMut(SimTime, E, &mut Scheduler<'_, E>),
     {
         let mut stagnant: u64 = 0;
         while let Some((time, event)) = self.queue.pop() {
-            if time > self.horizon {
-                break;
-            }
             debug_assert!(time >= self.now, "event queue violated time order");
             if time > self.now {
                 stagnant = 0;
@@ -695,34 +390,8 @@ impl<E> Engine<E> {
                     });
                 }
             }
-            if let Some(max) = self.max_events {
-                if self.processed >= max {
-                    break;
-                }
-            }
         }
         Ok(self.now)
-    }
-
-    /// Runs a single event if one is pending; returns whether it did.
-    pub fn step<F>(&mut self, mut handler: F) -> bool
-    where
-        F: FnMut(SimTime, E, &mut Scheduler<'_, E>),
-    {
-        if let Some((time, event)) = self.queue.pop() {
-            self.now = time;
-            self.processed += 1;
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            self.auditor.record_event(time);
-            let mut sched = Scheduler {
-                queue: &mut self.queue,
-                now: time,
-            };
-            handler(time, event, &mut sched);
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -750,12 +419,14 @@ mod tests {
         let mut engine: Engine<Ev> = Engine::new();
         engine.schedule(SimTime::ZERO, Ev::Tick(0));
         let mut count = 0u32;
-        let end = engine.run(|now, Ev::Tick(n), sched| {
-            count += 1;
-            if n < 9 {
-                sched.schedule(now + SimTime::from_ns(10), Ev::Tick(n + 1));
-            }
-        });
+        let end = engine
+            .run(Liveness::none(), |now, Ev::Tick(n), sched| {
+                count += 1;
+                if n < 9 {
+                    sched.schedule(now + SimTime::from_ns(10), Ev::Tick(n + 1));
+                }
+            })
+            .unwrap();
         assert_eq!(count, 10);
         assert_eq!(end, SimTime::from_ns(90));
         assert_eq!(engine.processed(), 10);
@@ -763,30 +434,11 @@ mod tests {
     }
 
     #[test]
-    fn horizon_stops_the_run() {
-        let mut engine: Engine<u32> = Engine::new().with_horizon(SimTime::from_ns(25));
-        for i in 0..10 {
-            engine.schedule(SimTime::from_ns(i * 10), i as u32);
-        }
-        let mut seen = Vec::new();
-        engine.run(|_, e, _| seen.push(e));
-        assert_eq!(seen, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn max_events_guard() {
-        let mut engine: Engine<()> = Engine::new().with_max_events(3);
-        engine.schedule(SimTime::ZERO, ());
-        engine.run(|now, (), sched| sched.schedule(now + SimTime::from_ns(1), ()));
-        assert_eq!(engine.processed(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "schedule event in the past")]
     fn scheduling_in_the_past_panics() {
         let mut engine: Engine<u8> = Engine::new();
         engine.schedule(SimTime::from_ns(10), 1);
-        engine.run(|_, _, sched| {
+        let _ = engine.run(Liveness::none(), |_, _, sched| {
             sched.schedule(SimTime::from_ns(5), 2);
         });
     }
@@ -796,13 +448,15 @@ mod tests {
         let mut engine: Engine<u8> = Engine::new();
         engine.schedule(SimTime::from_ns(1), 0);
         let mut seen = Vec::new();
-        engine.run(|_, e, sched| {
-            seen.push(e);
-            if e == 0 {
-                sched.schedule_now(1);
-                sched.schedule_now(2);
-            }
-        });
+        engine
+            .run(Liveness::none(), |_, e, sched| {
+                seen.push(e);
+                if e == 0 {
+                    sched.schedule_now(1);
+                    sched.schedule_now(2);
+                }
+            })
+            .unwrap();
         assert_eq!(seen, vec![0, 1, 2]);
     }
 
@@ -820,28 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn run_guarded_without_limits_matches_run() {
-        let drive = |guarded: bool| {
-            let mut engine: Engine<u32> = Engine::new();
-            engine.schedule(SimTime::ZERO, 0);
-            let mut seen = Vec::new();
-            let handler = |now: SimTime, e: u32, sched: &mut Scheduler<'_, u32>| {
-                seen.push(e);
-                if e < 5 {
-                    sched.schedule(now + SimTime::from_ns(3), e + 1);
-                }
-            };
-            let end = if guarded {
-                engine.run_guarded(Liveness::none(), handler).unwrap()
-            } else {
-                engine.run(handler)
-            };
-            (end, engine.processed(), engine.audit_digest(), seen)
-        };
-        assert_eq!(drive(false), drive(true));
-    }
-
-    #[test]
     fn event_budget_stall_is_reported_not_hung() {
         let mut engine: Engine<()> = Engine::new();
         engine.schedule(SimTime::ZERO, ());
@@ -849,9 +481,9 @@ mod tests {
             max_events: Some(100),
             max_stagnant_events: None,
         };
-        // Self-rescheduling event: would run forever under `run`.
+        // Self-rescheduling event: would run forever without a budget.
         let err = engine
-            .run_guarded(guard, |now, (), sched| {
+            .run(guard, |now, (), sched| {
                 sched.schedule(now + SimTime::from_ns(1), ());
             })
             .unwrap_err();
@@ -871,7 +503,7 @@ mod tests {
             max_events: Some(4),
             max_stagnant_events: None,
         };
-        let end = engine.run_guarded(guard, |_, _, _| ()).unwrap();
+        let end = engine.run(guard, |_, _, _| ()).unwrap();
         assert_eq!(end, SimTime::from_ns(3));
         assert_eq!(engine.processed(), 4);
     }
@@ -886,7 +518,7 @@ mod tests {
         };
         // schedule_now loop: time never advances.
         let err = engine
-            .run_guarded(guard, |_, _, sched| sched.schedule_now(0))
+            .run(guard, |_, _, sched| sched.schedule_now(0))
             .unwrap_err();
         assert_eq!(err.cause, StallCause::TimeFrozen);
         assert_eq!(err.now, SimTime::from_ns(7));
@@ -905,7 +537,7 @@ mod tests {
         };
         // Three events per instant, then the clock moves: never stalls.
         let end = engine
-            .run_guarded(guard, |now, e, sched| {
+            .run(guard, |now, e, sched| {
                 if e < 2 {
                     sched.schedule_now(e + 1);
                 } else if now < SimTime::from_ns(5) {
@@ -917,14 +549,23 @@ mod tests {
     }
 
     #[test]
-    fn calendar_matches_heap_reference_on_random_churn() {
+    fn queue_matches_brute_force_model_on_random_churn() {
         // Interleaved pushes and pops with clustered, duplicated and
-        // far-apart timestamps: both backends must produce the exact
-        // same (time, payload) stream.
+        // far-apart timestamps, checked against a model that pops the
+        // linear minimum of `(time, seq)`: same-time entries must come
+        // out in push order even while pops interleave with pushes.
         use crate::rng::SplitMix64;
+        fn model_pop(model: &mut Vec<(SimTime, u64, u64)>) -> Option<(SimTime, u64)> {
+            let (i, _) = model
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &(t, seq, _))| (t, seq))?;
+            let (t, _, payload) = model.swap_remove(i);
+            Some((t, payload))
+        }
         for seed in [3u64, 17, 92] {
-            let mut cal: EventQueue<u64> = EventQueue::new();
-            let mut heap: EventQueue<u64> = EventQueue::reference_heap();
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
             let mut rng = SplitMix64::new(seed);
             let mut base = 0u64;
             for i in 0..5_000u64 {
@@ -936,30 +577,34 @@ mod tests {
                     _ => rng.next_range(2_000_000),
                 };
                 let t = SimTime::from_ps(base + dt);
-                cal.push(t, i);
-                heap.push(t, i);
+                q.push(t, i);
+                // The payload doubles as the push sequence number.
+                model.push((t, i, i));
                 if rng.chance(0.6) {
-                    let a = cal.pop();
-                    let b = heap.pop();
-                    assert_eq!(a, b, "backends diverged (seed {seed})");
-                    if let Some((t, _)) = a {
+                    let got = q.pop();
+                    assert_eq!(got, model_pop(&mut model), "diverged (seed {seed})");
+                    if let Some((t, _)) = got {
                         // Keep pushes causal, like a Scheduler would.
                         base = base.max(t.as_ps());
                     }
                 }
             }
-            assert_eq!(cal.len(), heap.len());
-            while let Some(a) = cal.pop() {
-                assert_eq!(Some(a), heap.pop(), "drain diverged (seed {seed})");
+            assert_eq!(q.len(), model.len());
+            while let Some(got) = q.pop() {
+                assert_eq!(
+                    Some(got),
+                    model_pop(&mut model),
+                    "drain diverged (seed {seed})"
+                );
             }
-            assert_eq!(heap.pop(), None);
+            assert!(model.is_empty());
         }
     }
 
     #[test]
-    fn calendar_jumps_far_future_gaps() {
+    fn queue_jumps_far_future_gaps() {
         let mut q: EventQueue<u32> = EventQueue::new();
-        // A tight cluster, then a gap many ring revolutions wide.
+        // A tight cluster, then a gap of many orders of magnitude.
         for i in 0..40 {
             q.push(SimTime::from_ns(i as u64), i);
         }
@@ -974,8 +619,8 @@ mod tests {
     }
 
     #[test]
-    fn calendar_survives_growth_and_shrink_cycles() {
-        // 10k pushes force several grows; the full drain forces shrinks.
+    fn queue_survives_growth_and_shrink_cycles() {
+        // 10k pushes grow the queue; the full drain empties it again.
         use crate::rng::SplitMix64;
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut rng = SplitMix64::new(7);
@@ -991,12 +636,13 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 10_000);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn standalone_queue_accepts_pushes_behind_the_cursor() {
         // A bare queue (no Scheduler causality guard) may push earlier
-        // than the last pop; the calendar must rewind and serve it.
+        // than the last pop; the next pop must serve it first.
         let mut q: EventQueue<u8> = EventQueue::new();
         q.push(SimTime::from_us(10), 1);
         assert_eq!(q.pop(), Some((SimTime::from_us(10), 1)));
@@ -1004,19 +650,6 @@ mod tests {
         q.push(SimTime::from_us(20), 3);
         assert_eq!(q.pop(), Some((SimTime::from_ns(3), 2)));
         assert_eq!(q.pop(), Some((SimTime::from_us(20), 3)));
-    }
-
-    #[test]
-    fn peek_time_reports_the_earliest_entry() {
-        for mut q in [EventQueue::new(), EventQueue::reference_heap()] {
-            assert_eq!(q.peek_time(), None);
-            q.push(SimTime::from_ns(9), 1u8);
-            q.push(SimTime::from_ns(4), 2);
-            q.push(SimTime::from_ms(80), 3);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ns(4)));
-            q.pop();
-            assert_eq!(q.peek_time(), Some(SimTime::from_ns(9)));
-        }
     }
 
     #[test]
@@ -1045,15 +678,5 @@ mod tests {
             order
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn step_processes_one_event() {
-        let mut engine: Engine<u8> = Engine::new();
-        engine.schedule(SimTime::from_ns(1), 7);
-        let mut got = None;
-        assert!(engine.step(|_, e, _| got = Some(e)));
-        assert_eq!(got, Some(7));
-        assert!(!engine.step(|_, _, _| ()));
     }
 }

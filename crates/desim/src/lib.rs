@@ -4,6 +4,9 @@
 //! deterministic, allocation-conscious discrete-event kernel in the spirit of
 //! the SST core the paper uses, plus the measurement utilities (counters,
 //! histograms, time series) every other crate reports statistics with.
+//! The kernel is one binary-heap [`EventQueue`] and one run loop,
+//! [`Engine::run`], which [`Liveness`] budgets can bound so that a model
+//! that never terminates comes back as a [`StallReport`] instead of a hang.
 //!
 //! The engine is deliberately generic: the event payload type is chosen by
 //! the embedding simulator (see the `netsparse` core crate), and components
@@ -15,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use netsparse_desim::{Engine, SimTime};
+//! use netsparse_desim::{Engine, Liveness, SimTime};
 //!
 //! // A one-shot "ping-pong" model: each Ping schedules a Pong 5 ns later.
 //! #[derive(Debug, PartialEq, Eq)]
@@ -24,12 +27,14 @@
 //! let mut engine: Engine<Ev> = Engine::new();
 //! engine.schedule(SimTime::from_ns(1), Ev::Ping(7));
 //! let mut log = Vec::new();
-//! engine.run(|now, ev, sched| {
+//! // No liveness budget: the run drains the queue and cannot stall.
+//! let end = engine.run(Liveness::none(), |now, ev, sched| {
 //!     match ev {
 //!         Ev::Ping(x) => sched.schedule(now + SimTime::from_ns(5), Ev::Pong(x)),
 //!         Ev::Pong(x) => log.push((now, x)),
 //!     }
 //! });
+//! assert_eq!(end, Ok(SimTime::from_ns(6)));
 //! assert_eq!(log, vec![(SimTime::from_ns(6), 7)]);
 //! ```
 

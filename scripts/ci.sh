@@ -56,10 +56,6 @@ if [[ "$fast" -eq 0 ]]; then
     # Fault injection + recovery with the runtime invariant auditor on
     # in release mode (debug runs already audit via debug_assertions).
     run cargo test -q -p netsparse-tests --features audit --release --test fault_recovery
-    # Calendar-queue vs reference-heap engine equivalence with the release
-    # auditor on: the digest comparison is only meaningful when the
-    # auditor is compiled in (debug runs cover it via debug_assertions).
-    run cargo test -q -p netsparse-tests --features audit --release --test engine_equivalence
     run cargo run --release -q -p netsparse-bench --bin ext_fault_sweep
     # Structured tracing: golden trace, trace-vs-metrics consistency,
     # exporter validity and the protocol property suite, with the tracer

@@ -3,12 +3,12 @@
 //! configs, structured stalls from the liveness watchdog, and the
 //! shrinker's repro round trip on the deliberately-broken fixture.
 
-use netsparse::config::SimLimits;
 use netsparse::prelude::*;
 use netsparse_bench::chaos::{
     self, parse_repro, replay_repro, run_batch, shrink, write_repro, ChaosScenario,
     ScenarioOutcome, REDUCE_SEED_BIT,
 };
+use netsparse_desim::Liveness;
 
 /// The committed smoke range: these seeds must stay clean (no oracle
 /// violations, no stalls) on every machine, forever. CI runs a longer
@@ -79,7 +79,7 @@ fn starved_event_budget_is_a_structured_stall() {
     // not panic — and the chaos harness classifies it as Stalled.
     let sc = ChaosScenario::generate(1);
     let mut cfg = sc.cluster_config();
-    cfg.limits = SimLimits {
+    cfg.limits = Liveness {
         max_events: Some(50),
         max_stagnant_events: None,
     };

@@ -5,7 +5,7 @@
 
 use netsparse::config::{ConcatImpl, FaultConfig};
 use netsparse::prelude::*;
-use netsparse_desim::LossModel;
+use netsparse_desim::{Liveness, LossModel};
 use netsparse_snic::vconcat::{dedicated_sram_bytes, VirtualCqConfig};
 
 fn topo() -> Topology {
@@ -215,7 +215,7 @@ fn total_partition_terminates_with_recorded_abandonment() {
         .expect("partition config is valid");
     // Liveness-guarded entry point: a hang would come back as a typed
     // stall, not a wedged test run.
-    cfg.limits = SimLimits {
+    cfg.limits = Liveness {
         max_events: Some(50_000_000),
         max_stagnant_events: Some(1_000_000),
     };

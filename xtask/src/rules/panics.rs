@@ -3,7 +3,7 @@
 //! `panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test library
 //! code turns a recoverable condition into a process abort — exactly
 //! what the fallible entry points (`try_simulate`, `try_new`,
-//! `run_guarded`) exist to avoid, and what the chaoscheck harness must
+//! `Engine::run`) exist to avoid, and what the chaoscheck harness must
 //! never hit on a generated configuration. Tests, binaries and benches
 //! are exempt (a test's `panic!` *is* its failure path). A deliberate
 //! abort in a library — a documented panicking wrapper over a fallible
