@@ -3,7 +3,7 @@
 //! Pending PR Table, Concatenator, Property Cache) plus workload
 //! generation and the reference kernels.
 
-use netsparse_bench::microbench::{black_box, Criterion, Throughput};
+use netsparse_bench::microbench::{black_box, BenchmarkId, Criterion, Throughput};
 use netsparse_bench::{criterion_group, criterion_main};
 
 use netsparse_desim::{EventQueue, SimTime, SplitMix64};
@@ -37,32 +37,24 @@ fn bench_event_queue(c: &mut Criterion) {
 fn bench_idx_filter(c: &mut Criterion) {
     let mut g = c.benchmark_group("idx_filter");
     g.throughput(Throughput::Elements(100_000));
-    g.bench_function("dense_insert_contains_100k", |b| {
-        b.iter(|| {
-            let mut f = IdxFilter::new(1 << 20);
-            let mut rng = SplitMix64::new(3);
-            for _ in 0..100_000 {
-                let idx = rng.next_range(1 << 20) as u32;
-                if !f.contains(idx) {
-                    f.insert(idx);
+    // 100k random idxs touch every page of 2^20 columns, but leave most
+    // words of each 10^8-column page clear.
+    for n_cols in [1u32 << 20, 100_000_000] {
+        let id = BenchmarkId::new("insert_contains_100k", format!("{n_cols}_cols"));
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let mut f = IdxFilter::new(n_cols);
+                let mut rng = SplitMix64::new(3);
+                for _ in 0..100_000 {
+                    let idx = rng.next_range(u64::from(n_cols)) as u32;
+                    if !f.contains(idx) {
+                        f.insert(idx);
+                    }
                 }
-            }
-            black_box(f.len())
-        })
-    });
-    g.bench_function("sparse_insert_contains_100k", |b| {
-        b.iter(|| {
-            let mut f = IdxFilter::new(100_000_000);
-            let mut rng = SplitMix64::new(3);
-            for _ in 0..100_000 {
-                let idx = rng.next_range(100_000_000) as u32;
-                if !f.contains(idx) {
-                    f.insert(idx);
-                }
-            }
-            black_box(f.len())
-        })
-    });
+                black_box(f.len())
+            })
+        });
+    }
     g.finish();
 }
 

@@ -157,11 +157,11 @@ pub(crate) struct NodeState {
     pub(crate) last_dup: u64,
     pub(crate) last_resp: u64,
     pub(crate) finish: Option<SimTime>,
-    /// Remote idxs this node's stream references (fixed-word bitset; the
+    /// Remote idxs this node's stream references (paged bitset; the
     /// functional check compares it against `received`).
     pub(crate) needed: IdxFilter,
-    /// Distinct idxs a response has arrived for (bitset, same layout as
-    /// `needed` so equality is a word-wise compare).
+    /// Distinct idxs a response has arrived for (paged bitset over the
+    /// same columns as `needed`; equality compares the set bits).
     pub(crate) received: IdxFilter,
     /// Issue timestamp of each outstanding PR — the PR round-trip-latency
     /// probe and the conservation ledger's outstanding set.

@@ -6,12 +6,34 @@
 //! for that idx has been received and written to host memory; a set bit
 //! makes every later PR for the idx redundant.
 //!
-//! The simulation keeps the same semantics with two backings: a dense bit
-//! vector for modest column counts, and an ordered set when the simulated
-//! column space is large but sparsely touched (equivalent behaviour, much
-//! less host RAM across 128 simulated nodes).
+//! The simulation keeps the same one-bit-per-column semantics as a paged
+//! bitset: the column space is cut into fixed 4,096-bit pages, and a
+//! page's words are allocated only when one of its bits is first set. A
+//! node's stream reaches only part of the column space, so each simulated
+//! node holds only the pages its stream reaches, at any column count up
+//! to `u32::MAX`.
+
+use std::ops::Range;
+
+/// Bits per page: 64 words (512 B) of the bit vector.
+const PAGE_BITS: u32 = 4_096;
+const PAGE_SHIFT: u32 = PAGE_BITS.trailing_zeros();
+const PAGE_WORDS: usize = (PAGE_BITS / 64) as usize;
+
+/// Directory entry of a page whose words are not allocated (all bits clear).
+const NO_PAGE: u32 = u32::MAX;
+
+type Page = [u64; PAGE_WORDS];
+
+/// Stands in for every unallocated page when comparing contents.
+const ZERO_PAGE: Page = [0; PAGE_WORDS];
 
 /// A set of idx bits over `[0, n_cols)`.
+///
+/// Backed by a page directory with one entry per 4,096 columns and
+/// a slab of word pages, each allocated by the first insert into its
+/// range. `contains` is two loads: the directory entry, then the word.
+/// Equality compares the set bits, not which pages happen to be allocated.
 ///
 /// # Example
 ///
@@ -23,33 +45,23 @@
 /// assert!(!f.insert(42)); // already set
 /// assert!(f.contains(42));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct IdxFilter {
     n_cols: u32,
-    backing: Backing,
+    /// Slab slot of each page, or [`NO_PAGE`].
+    dir: Vec<u32>,
+    pages: Vec<Page>,
     set_bits: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Backing {
-    Dense(Vec<u64>),
-    Sparse(std::collections::BTreeSet<u32>),
-}
-
-/// Column counts up to this use the dense bit-vector backing (512 KiB).
-const DENSE_LIMIT: u32 = 1 << 22;
-
 impl IdxFilter {
-    /// Creates an empty filter over `n_cols` idxs.
+    /// Creates an empty filter over `n_cols` idxs. Only the page
+    /// directory is allocated (4 bytes per 4,096 columns).
     pub fn new(n_cols: u32) -> Self {
-        let backing = if n_cols <= DENSE_LIMIT {
-            Backing::Dense(vec![0u64; (n_cols as usize).div_ceil(64)])
-        } else {
-            Backing::Sparse(std::collections::BTreeSet::new())
-        };
         IdxFilter {
             n_cols,
-            backing,
+            dir: vec![NO_PAGE; n_cols.div_ceil(PAGE_BITS) as usize],
+            pages: Vec::new(),
             set_bits: 0,
         }
     }
@@ -57,6 +69,14 @@ impl IdxFilter {
     /// Number of idxs covered.
     pub fn n_cols(&self) -> u32 {
         self.n_cols
+    }
+
+    /// The page of directory entry `p`, or [`ZERO_PAGE`] if unallocated.
+    fn page(&self, p: usize) -> &Page {
+        match self.dir[p] {
+            NO_PAGE => &ZERO_PAGE,
+            slot => &self.pages[slot as usize],
+        }
     }
 
     /// Whether `idx`'s bit is set.
@@ -67,9 +87,10 @@ impl IdxFilter {
     #[inline]
     pub fn contains(&self, idx: u32) -> bool {
         assert!(idx < self.n_cols, "idx {idx} out of filter range");
-        match &self.backing {
-            Backing::Dense(bits) => bits[(idx / 64) as usize] & (1u64 << (idx % 64)) != 0,
-            Backing::Sparse(set) => set.contains(&idx),
+        let (w, bit) = word_bit(idx);
+        match self.dir[(idx >> PAGE_SHIFT) as usize] {
+            NO_PAGE => false,
+            slot => self.pages[slot as usize][w] & bit != 0,
         }
     }
 
@@ -81,19 +102,16 @@ impl IdxFilter {
     #[inline]
     pub fn insert(&mut self, idx: u32) -> bool {
         assert!(idx < self.n_cols, "idx {idx} out of filter range");
-        let newly = match &mut self.backing {
-            Backing::Dense(bits) => {
-                let word = &mut bits[(idx / 64) as usize];
-                let mask = 1u64 << (idx % 64);
-                let was = *word & mask != 0;
-                *word |= mask;
-                !was
-            }
-            Backing::Sparse(set) => set.insert(idx),
-        };
-        if newly {
-            self.set_bits += 1;
+        let entry = &mut self.dir[(idx >> PAGE_SHIFT) as usize];
+        if *entry == NO_PAGE {
+            *entry = self.pages.len() as u32;
+            self.pages.push(ZERO_PAGE);
         }
+        let (w, bit) = word_bit(idx);
+        let word = &mut self.pages[*entry as usize][w];
+        let newly = *word & bit == 0;
+        *word |= bit;
+        self.set_bits += u64::from(newly);
         newly
     }
 
@@ -117,61 +135,35 @@ impl IdxFilter {
     /// Panics if `idx >= n_cols`.
     pub fn remove(&mut self, idx: u32) -> bool {
         assert!(idx < self.n_cols, "idx {idx} out of filter range");
-        let was = match &mut self.backing {
-            Backing::Dense(bits) => {
-                let word = &mut bits[(idx / 64) as usize];
-                let mask = 1u64 << (idx % 64);
-                let was = *word & mask != 0;
-                *word &= !mask;
-                was
-            }
-            Backing::Sparse(set) => set.remove(&idx),
-        };
-        if was {
-            self.set_bits -= 1;
+        let slot = self.dir[(idx >> PAGE_SHIFT) as usize];
+        if slot == NO_PAGE {
+            return false;
         }
+        let (w, bit) = word_bit(idx);
+        let word = &mut self.pages[slot as usize][w];
+        let was = *word & bit != 0;
+        *word &= !bit;
+        self.set_bits -= u64::from(was);
         was
     }
 
     /// Sets the bit of every idx in `idxs` that lies *outside*
-    /// `local`, in one pass — the bulk builder for per-node "needed"
-    /// sets (a node needs exactly its stream's remote idxs). Equivalent
-    /// to filtered per-idx [`IdxFilter::insert`] calls, but the dense
-    /// backing skips per-bit bookkeeping and recounts once at the end.
+    /// `local` — the bulk builder for per-node "needed" sets (a node
+    /// needs exactly its stream's remote idxs). Equivalent to filtered
+    /// per-idx [`IdxFilter::insert`] calls; local idxs allocate no pages.
     ///
     /// # Panics
     ///
     /// Panics if any idx in `idxs` (or `local.end - 1`) is `>= n_cols`.
-    pub fn insert_remote(&mut self, idxs: &[u32], local: std::ops::Range<u32>) {
-        match &mut self.backing {
-            Backing::Dense(bits) => {
-                // Branchless pass: set every stream bit, then erase the
-                // local range wholesale (every local idx lies inside it,
-                // so the end state is exactly "remote stream idxs").
-                for &idx in idxs {
-                    bits[(idx / 64) as usize] |= 1u64 << (idx % 64);
-                }
-                let (start, end) = (local.start as usize, local.end as usize);
-                if start < end {
-                    let (first, last) = (start / 64, (end - 1) / 64);
-                    let head = !0u64 << (start % 64);
-                    let tail = !0u64 >> (63 - (end - 1) % 64);
-                    if first == last {
-                        bits[first] &= !(head & tail);
-                    } else {
-                        bits[first] &= !head;
-                        bits[first + 1..last].fill(0);
-                        bits[last] &= !tail;
-                    }
-                }
-                self.set_bits = bits.iter().map(|w| w.count_ones() as u64).sum();
-            }
-            Backing::Sparse(_) => {
-                for &idx in idxs {
-                    if !local.contains(&idx) {
-                        self.insert(idx);
-                    }
-                }
+    pub fn insert_remote(&mut self, idxs: &[u32], local: Range<u32>) {
+        assert!(
+            local.end <= self.n_cols,
+            "local range end {} out of filter range",
+            local.end
+        );
+        for &idx in idxs {
+            if !local.contains(&idx) {
+                self.insert(idx);
             }
         }
     }
@@ -179,12 +171,26 @@ impl IdxFilter {
     /// Clears every bit (the control plane resets the filter between
     /// kernel iterations when the input property array changes).
     pub fn clear(&mut self) {
-        match &mut self.backing {
-            Backing::Dense(bits) => bits.fill(0),
-            Backing::Sparse(set) => set.clear(),
-        }
+        self.dir.fill(NO_PAGE);
+        self.pages.clear();
         self.set_bits = 0;
     }
+}
+
+impl PartialEq for IdxFilter {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_cols == other.n_cols
+            && self.set_bits == other.set_bits
+            && (0..self.dir.len()).all(|p| self.page(p) == other.page(p))
+    }
+}
+
+impl Eq for IdxFilter {}
+
+/// The word of `idx` within its page, and `idx`'s bit in that word.
+#[inline]
+fn word_bit(idx: u32) -> (usize, u64) {
+    ((idx as usize / 64) % PAGE_WORDS, 1u64 << (idx % 64))
 }
 
 #[cfg(test)]
@@ -203,75 +209,94 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_contains_sparse() {
-        let mut f = IdxFilter::new(DENSE_LIMIT + 10);
-        assert!(matches!(f.backing, Backing::Sparse(_)));
-        assert!(f.insert(DENSE_LIMIT + 5));
-        assert!(!f.insert(DENSE_LIMIT + 5));
-        assert!(f.contains(DENSE_LIMIT + 5));
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
     fn clear_resets_both_backings() {
-        for n in [100u32, DENSE_LIMIT + 1] {
-            let mut f = IdxFilter::new(n);
-            f.insert(7);
-            f.clear();
-            assert!(!f.contains(7));
-            assert!(f.is_empty());
-        }
+        let mut f = IdxFilter::new(100);
+        f.insert(7);
+        f.clear();
+        assert!(!f.contains(7));
+        assert!(f.is_empty());
+        assert_eq!(f, IdxFilter::new(100));
     }
 
     #[test]
     fn insert_remote_matches_per_idx_inserts() {
-        for n in [1_000u32, DENSE_LIMIT + 100] {
-            let idxs = [3u32, 999, 64, 63, 3, 500, 128, 64, 200];
-            let local = 100..600;
-            let mut bulk = IdxFilter::new(n);
-            bulk.insert_remote(&idxs, local.clone());
-            let mut one_by_one = IdxFilter::new(n);
-            for &i in &idxs {
-                if !local.contains(&i) {
-                    one_by_one.insert(i);
-                }
+        let idxs = [3u32, 999, 64, 63, 3, 500, 128, 64, 200, 4_096, 8_191];
+        let local = 100..600;
+        let mut bulk = IdxFilter::new(10_000);
+        bulk.insert_remote(&idxs, local.clone());
+        let mut one_by_one = IdxFilter::new(10_000);
+        for &i in &idxs {
+            if !local.contains(&i) {
+                one_by_one.insert(i);
             }
-            assert_eq!(bulk.len(), one_by_one.len());
-            for i in 0..1_000 {
-                assert_eq!(bulk.contains(i), one_by_one.contains(i), "idx {i}");
-            }
+        }
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.len(), 6);
+        for i in 0..10_000 {
+            assert_eq!(bulk.contains(i), one_by_one.contains(i), "idx {i}");
         }
     }
 
     #[test]
-    fn dense_and_sparse_agree() {
-        let mut dense = IdxFilter::new(1_000);
-        let mut sparse = IdxFilter {
-            n_cols: 1_000,
-            backing: Backing::Sparse(Default::default()),
-            set_bits: 0,
-        };
-        let idxs = [3u32, 999, 64, 63, 3, 128, 64];
+    #[should_panic(expected = "out of filter range")]
+    fn insert_remote_rejects_out_of_range_idx() {
+        // 120 shares the last 64-bit word of a 100-column filter; it must
+        // panic like `insert(120)` rather than set a bit past `n_cols`.
+        IdxFilter::new(100).insert_remote(&[120], 0..10);
+    }
+
+    #[test]
+    fn equality_ignores_insertion_order() {
+        let idxs = [9_000u32, 3, 4_096, 70_000, 4_095, 12_345];
+        let mut forward = IdxFilter::new(100_000);
+        let mut backward = IdxFilter::new(100_000);
         for &i in &idxs {
-            assert_eq!(dense.insert(i), sparse.insert(i), "idx {i}");
+            forward.insert(i);
         }
-        for i in 0..1_000 {
-            assert_eq!(dense.contains(i), sparse.contains(i), "idx {i}");
+        for &i in idxs.iter().rev() {
+            backward.insert(i);
         }
-        assert_eq!(dense.len(), sparse.len());
+        assert_eq!(forward, backward);
+        backward.remove(3);
+        assert_ne!(forward, backward);
+    }
+
+    #[test]
+    fn emptied_filter_equals_untouched_filter() {
+        let mut f = IdxFilter::new(50_000);
+        f.insert(40_000);
+        assert_ne!(f, IdxFilter::new(50_000));
+        assert!(f.remove(40_000));
+        assert!(f.is_empty());
+        assert_eq!(f, IdxFilter::new(50_000));
+    }
+
+    #[test]
+    fn covers_both_ends_of_the_largest_column_space() {
+        let n = u32::MAX / 2;
+        let mut f = IdxFilter::new(n);
+        for idx in [0, 1, n - PAGE_BITS, n - 2, n - 1] {
+            assert!(!f.contains(idx));
+            assert!(f.insert(idx), "idx {idx}");
+            assert!(!f.insert(idx), "idx {idx}");
+            assert!(f.contains(idx));
+        }
+        assert_eq!(f.len(), 5);
+        assert!(f.remove(n - 1) && f.remove(0));
+        assert!(!f.contains(n - 1) && !f.contains(0) && f.contains(n - 2));
+        assert_eq!(f.len(), 3);
     }
 
     #[test]
     fn remove_clears_single_bits() {
-        for n in [100u32, DENSE_LIMIT + 1] {
-            let mut f = IdxFilter::new(n);
-            f.insert(9);
-            f.insert(10);
-            assert!(f.remove(9));
-            assert!(!f.remove(9));
-            assert!(!f.contains(9) && f.contains(10));
-            assert_eq!(f.len(), 1);
-        }
+        let mut f = IdxFilter::new(100);
+        assert!(!f.remove(9));
+        f.insert(9);
+        f.insert(10);
+        assert!(f.remove(9));
+        assert!(!f.remove(9));
+        assert!(!f.contains(9) && f.contains(10));
+        assert_eq!(f.len(), 1);
     }
 
     #[test]

@@ -10,23 +10,18 @@
 //! - **Flow control**: when the table is full (256 entries in Table 5) the
 //!   unit stalls, bounding the node's outstanding traffic — this is what
 //!   makes the lossless-network assumption self-enforcing.
+//!
+//! The CAM is modelled as a fixed open-addressed hash set whose size
+//! depends only on the capacity, never on the column count: a
+//! multiplicative hash picks each key's home slot, collisions probe
+//! linearly, and deletion shifts later chain members back so a probe can
+//! stop at the first empty slot.
 
-/// Widest idx domain the dense bitset backing accepts: 2^22 bits is
-/// 512 KiB per table, past which the sorted fallback is cheaper to set up
-/// than the bitset is to probe.
-const DENSE_DOMAIN_LIMIT: u32 = 1 << 22;
+/// Slot value of an empty entry; never a valid idx.
+const EMPTY: u32 = u32::MAX;
 
-/// Membership storage behind [`PendingTable`] (see [`PendingTable::for_domain`]).
-#[derive(Debug, Clone)]
-enum Backing {
-    /// One bit per idx of a known, bounded domain: `contains` is a single
-    /// word probe — the coalescing check runs once per scanned idx, so
-    /// this is the hottest read in the whole client pipeline.
-    Dense { words: Vec<u64> },
-    /// Sorted idx list for unbounded domains (arbitrary `u32` idxs):
-    /// binary search over at most `capacity` entries.
-    Sorted { entries: Vec<u32> },
-}
+/// Fibonacci-hashing multiplier (2³² / φ, odd).
+const HASH_MUL: u32 = 0x9E37_79B9;
 
 /// A bounded set of outstanding PR idxs.
 ///
@@ -44,60 +39,53 @@ enum Backing {
 /// assert!(t.insert(11));
 /// ```
 ///
-/// The table is a pure membership set — nothing observes an entry order —
-/// so the backing is chosen by how much is known about the idx domain:
-/// [`PendingTable::for_domain`] uses a dense bitset (O(1) probes) when the
-/// workload's column count is bounded, and [`PendingTable::new`] falls
-/// back to a sorted `Vec<u32>` for arbitrary `u32` idxs. Both backings
-/// are semantically identical.
+/// The table holds `(2 × capacity).next_power_of_two()` `u32` slots (512
+/// at the paper's 256 entries), so it is at most half full and every probe
+/// ends at an empty slot within a short chain. `u32::MAX` marks an empty
+/// slot and is the one idx the table cannot hold; no idx of an
+/// [`IdxFilter`](crate::IdxFilter) can be `u32::MAX`, since
+/// `idx < n_cols ≤ u32::MAX`.
 #[derive(Debug, Clone)]
 pub struct PendingTable {
     capacity: usize,
     len: usize,
     peak: usize,
-    backing: Backing,
+    /// Every inserted idx is below this.
+    domain: u32,
+    /// Right shift that turns a hash product into a slot index.
+    shift: u32,
+    slots: Box<[u32]>,
 }
 
 impl PendingTable {
     /// Creates an empty table with room for `capacity` outstanding PRs,
-    /// accepting arbitrary `u32` idxs (sorted backing).
+    /// accepting every idx except `u32::MAX` (the empty-slot key).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "pending table needs at least one entry");
-        PendingTable {
-            capacity,
-            len: 0,
-            peak: 0,
-            backing: Backing::Sorted {
-                entries: Vec::with_capacity(capacity),
-            },
-        }
+        Self::for_domain(capacity, u32::MAX)
     }
 
     /// Creates an empty table with room for `capacity` outstanding PRs
-    /// whose idxs all lie in `[0, domain)`. Small domains (the workload's
-    /// column count) get a dense bitset, making the per-idx coalescing
-    /// probe a single word test; oversized domains fall back to the
-    /// sorted backing of [`PendingTable::new`].
+    /// whose idxs all lie in `[0, domain)` (the workload's column count).
+    /// The table is the same size as [`PendingTable::new`]'s; the domain
+    /// only adds a check on insert.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn for_domain(capacity: usize, domain: u32) -> Self {
         assert!(capacity > 0, "pending table needs at least one entry");
-        if domain > DENSE_DOMAIN_LIMIT {
-            return Self::new(capacity);
-        }
+        let n_slots = (2 * capacity).next_power_of_two();
         PendingTable {
             capacity,
             len: 0,
             peak: 0,
-            backing: Backing::Dense {
-                words: vec![0u64; (domain as usize).div_ceil(64)],
-            },
+            domain,
+            shift: u32::BITS - n_slots.trailing_zeros(),
+            slots: vec![EMPTY; n_slots].into_boxed_slice(),
         }
     }
 
@@ -121,16 +109,31 @@ impl PendingTable {
         self.len >= self.capacity
     }
 
+    /// Home slot of `idx`: the top bits of its multiplicative hash.
+    #[inline]
+    fn home(&self, idx: u32) -> usize {
+        (idx.wrapping_mul(HASH_MUL) >> self.shift) as usize
+    }
+
+    /// The slot holding `idx`, or `Err` with the empty slot that ends its
+    /// probe chain.
+    #[inline]
+    fn find(&self, idx: u32) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(idx);
+        loop {
+            match self.slots[i] {
+                EMPTY => return Err(i),
+                key if key == idx => return Ok(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
     /// Whether a PR for `idx` is outstanding (the coalescing probe).
     #[inline]
     pub fn contains(&self, idx: u32) -> bool {
-        match &self.backing {
-            Backing::Dense { words } => {
-                let w = (idx >> 6) as usize;
-                w < words.len() && words[w] & (1u64 << (idx & 63)) != 0
-            }
-            Backing::Sorted { entries } => entries.binary_search(&idx).is_ok(),
-        }
+        self.find(idx).is_ok()
     }
 
     /// Registers an outstanding PR for `idx`. Returns `false` (and does
@@ -140,32 +143,18 @@ impl PendingTable {
     ///
     /// Panics if `idx` is already present — the caller must coalesce
     /// duplicates before issuing, so a double insert is a model bug.
-    /// On a [`PendingTable::for_domain`] table, also panics if `idx` lies
-    /// outside the declared domain.
+    /// Also panics if `idx` lies outside the declared domain (for
+    /// [`PendingTable::new`], if `idx` is `u32::MAX`).
     #[inline]
     pub fn insert(&mut self, idx: u32) -> bool {
         if self.is_full() {
             return false;
         }
-        match &mut self.backing {
-            Backing::Dense { words } => {
-                let w = (idx >> 6) as usize;
-                let bit = 1u64 << (idx & 63);
-                assert!(w < words.len(), "idx {idx} outside the declared domain");
-                assert!(
-                    words[w] & bit == 0,
-                    "idx {idx} already outstanding; caller must coalesce"
-                );
-                words[w] |= bit;
-            }
-            Backing::Sorted { entries } => {
-                let pos = match entries.binary_search(&idx) {
-                    // simaudit:allow(no-lib-panic): double insert is a model bug, same contract as before
-                    Ok(_) => panic!("idx {idx} already outstanding; caller must coalesce"),
-                    Err(pos) => pos,
-                };
-                entries.insert(pos, idx);
-            }
+        assert!(idx < self.domain, "idx {idx} outside the declared domain");
+        match self.find(idx) {
+            // simaudit:allow(no-lib-panic): double insert is a model bug, same contract as before
+            Ok(_) => panic!("idx {idx} already outstanding; caller must coalesce"),
+            Err(free) => self.slots[free] = idx,
         }
         self.len += 1;
         self.peak = self.peak.max(self.len);
@@ -180,24 +169,27 @@ impl PendingTable {
     /// request is a protocol violation.
     #[inline]
     pub fn remove(&mut self, idx: u32) {
-        match &mut self.backing {
-            Backing::Dense { words } => {
-                let w = (idx >> 6) as usize;
-                let bit = 1u64 << (idx & 63);
-                assert!(
-                    w < words.len() && words[w] & bit != 0,
-                    "response for idx {idx} that was never outstanding"
-                );
-                words[w] &= !bit;
+        let Ok(mut hole) = self.find(idx) else {
+            // simaudit:allow(no-lib-panic): orphan response is a protocol violation, same contract as before
+            panic!("response for idx {idx} that was never outstanding")
+        };
+        // Backward-shift deletion: walk the rest of the chain and move
+        // back every key whose home slot does not lie in (hole, i], so no
+        // key is left behind an empty slot its probe would stop at.
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let key = self.slots[i];
+            if key == EMPTY {
+                break;
             }
-            Backing::Sorted { entries } => {
-                let pos = entries.binary_search(&idx).unwrap_or_else(|_| {
-                    // simaudit:allow(no-lib-panic): orphan response is a protocol violation, same contract as before
-                    panic!("response for idx {idx} that was never outstanding")
-                });
-                entries.remove(pos);
+            if (i.wrapping_sub(self.home(key)) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = key;
+                hole = i;
             }
         }
+        self.slots[hole] = EMPTY;
         self.len -= 1;
     }
 
@@ -212,10 +204,7 @@ impl PendingTable {
         if self.len == 0 {
             return;
         }
-        match &mut self.backing {
-            Backing::Dense { words } => words.fill(0),
-            Backing::Sorted { entries } => entries.clear(),
-        }
+        self.slots.fill(EMPTY);
         self.len = 0;
     }
 }
@@ -223,58 +212,154 @@ impl PendingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every behavioral test runs against both backings: the dense bitset
-    /// and the sorted fallback must be indistinguishable through the API.
-    fn both(f: impl Fn(PendingTable)) {
-        f(PendingTable::new(3));
-        f(PendingTable::for_domain(3, 1 << 16));
-    }
+    use netsparse_desim::SplitMix64;
+    use std::collections::BTreeSet;
 
     #[test]
     fn fills_and_frees() {
-        both(|mut t| {
-            for i in 0..3 {
-                assert!(t.insert(i));
-            }
-            assert!(t.is_full());
-            assert!(!t.insert(99));
-            t.remove(1);
-            assert!(!t.is_full());
-            assert!(t.insert(99));
-            assert_eq!(t.peak(), 3);
-        });
+        let mut t = PendingTable::new(3);
+        for i in 0..3 {
+            assert!(t.insert(i));
+        }
+        assert!(t.is_full());
+        assert!(!t.insert(99));
+        t.remove(1);
+        assert!(!t.is_full());
+        assert!(t.insert(99));
+        assert_eq!(t.peak(), 3);
     }
 
     #[test]
     fn contains_tracks_outstanding_only() {
-        both(|mut t| {
-            t.insert(7);
-            assert!(t.contains(7));
-            t.remove(7);
-            assert!(!t.contains(7));
-        });
+        let mut t = PendingTable::new(3);
+        t.insert(7);
+        assert!(t.contains(7));
+        t.remove(7);
+        assert!(!t.contains(7));
     }
 
     #[test]
     fn clear_forgets_everything() {
-        both(|mut t| {
-            t.insert(1);
-            t.insert(2);
-            t.clear();
-            assert!(t.is_empty());
-            assert!(t.insert(1));
-        });
+        let mut t = PendingTable::new(3);
+        t.insert(1);
+        t.insert(2);
+        t.clear();
+        assert!(t.is_empty());
+        assert!(!t.contains(1) && !t.contains(2));
+        assert!(t.insert(1));
     }
 
     #[test]
-    fn oversized_domain_falls_back_to_sorted() {
-        // u32::MAX exceeds the dense limit; arbitrary idxs must still work.
+    fn widest_domain_accepts_every_unreserved_idx() {
         let mut t = PendingTable::for_domain(4, u32::MAX);
+        assert!(!t.contains(u32::MAX));
         assert!(t.insert(u32::MAX - 1));
+        assert!(t.insert(0));
         assert!(t.contains(u32::MAX - 1));
         t.remove(u32::MAX - 1);
+        t.remove(0);
         assert!(t.is_empty());
+    }
+
+    /// Idxs whose home is the last slot of a `capacity`-entry table, so
+    /// their probe chain wraps to slot 0.
+    fn colliding_at_end(capacity: usize, n: usize) -> Vec<u32> {
+        let t = PendingTable::new(capacity);
+        let last = t.slots.len() - 1;
+        (0..).filter(|&i| t.home(i) == last).take(n).collect()
+    }
+
+    #[test]
+    fn shared_home_chains_wrap_and_survive_removal() {
+        let keys = colliding_at_end(256, 6);
+        let mut t = PendingTable::new(256);
+        for &k in &keys {
+            assert!(t.insert(k));
+        }
+        // The chain fills the last slot, then wraps to 0..5.
+        assert_eq!(t.slots[t.slots.len() - 1], keys[0]);
+        assert_eq!(&t.slots[..5], &keys[1..]);
+        for &gone in &[keys[0], keys[3], keys[5]] {
+            t.remove(gone);
+            assert!(!t.contains(gone));
+        }
+        for &k in &[keys[1], keys[2], keys[4]] {
+            assert!(t.contains(k), "idx {k} lost by backward shift");
+        }
+        assert_eq!(t.len(), 3);
+    }
+
+    /// Randomized churn against a `BTreeSet` model: inserts, removals,
+    /// probes, refusals when full and clears, over keys from a small
+    /// range (frequent repeats) mixed with keys sharing the last home
+    /// slot (chains that wrap the slot array). Rounds alternate between
+    /// filling past capacity and draining.
+    #[test]
+    fn matches_btreeset_model_on_random_churn() {
+        for capacity in [1usize, 3, 256] {
+            let mut rng = SplitMix64::new(0x5EED ^ capacity as u64);
+            let colliding = colliding_at_end(capacity, 8);
+            let key = |rng: &mut SplitMix64| {
+                if rng.chance(0.3) {
+                    colliding[rng.next_range(colliding.len() as u64) as usize]
+                } else {
+                    rng.next_range(4 * capacity as u64 + 8) as u32
+                }
+            };
+            let mut t = PendingTable::for_domain(capacity, 1 << 20);
+            let mut model = BTreeSet::new();
+            let (mut refused, mut wrapped) = (0, 0);
+            for round in 0..20 {
+                let insert_pct = if round % 2 == 0 { 70 } else { 30 };
+                for step in 0..8 * capacity + 64 {
+                    let op = rng.next_range(100);
+                    if op < insert_pct {
+                        let k = key(&mut rng);
+                        if model.contains(&k) {
+                            assert!(t.contains(k));
+                        } else if model.len() == capacity {
+                            assert!(!t.insert(k), "round {round} step {step}: over capacity");
+                            refused += 1;
+                        } else {
+                            assert!(t.insert(k), "round {round} step {step}: insert {k}");
+                            model.insert(k);
+                        }
+                    } else if op < 90 && !model.is_empty() {
+                        let nth = rng.next_range(model.len() as u64) as usize;
+                        let k = *model.iter().nth(nth).expect("nth < len");
+                        t.remove(k);
+                        model.remove(&k);
+                    } else {
+                        let k = key(&mut rng);
+                        assert_eq!(t.contains(k), model.contains(&k), "idx {k}");
+                    }
+                    assert_eq!(t.len(), model.len());
+                    assert_eq!(t.is_full(), model.len() == capacity);
+                    assert!(
+                        model.iter().all(|&k| t.contains(k)),
+                        "round {round} step {step}"
+                    );
+                    let stored = t.slots.iter().filter(|&&s| s != EMPTY).count();
+                    assert_eq!(stored, model.len());
+                    let last = t.slots.len() - 1;
+                    if t.slots[0] != EMPTY && t.slots[last] != EMPTY && t.home(t.slots[0]) == last {
+                        wrapped += 1;
+                    }
+                }
+                if round % 5 == 4 {
+                    t.clear();
+                    model.clear();
+                    assert!(t.slots.iter().all(|&s| s == EMPTY));
+                }
+            }
+            assert_eq!(t.peak(), capacity);
+            assert!(refused > 0, "capacity {capacity}: never full");
+            // One entry cannot form a chain.
+            assert!(
+                capacity == 1 || wrapped > 0,
+                "capacity {capacity}: no chain wrapped"
+            );
+        }
     }
 
     #[test]
@@ -286,29 +371,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already outstanding")]
-    fn double_insert_is_a_bug_dense() {
-        let mut t = PendingTable::for_domain(4, 64);
-        t.insert(7);
-        t.insert(7);
-    }
-
-    #[test]
     #[should_panic(expected = "never outstanding")]
     fn orphan_response_is_a_bug() {
         PendingTable::new(4).remove(1);
     }
 
     #[test]
-    #[should_panic(expected = "never outstanding")]
-    fn orphan_response_is_a_bug_dense() {
-        PendingTable::for_domain(4, 64).remove(1);
+    #[should_panic(expected = "outside the declared domain")]
+    fn dense_rejects_out_of_domain_insert() {
+        PendingTable::for_domain(4, 64).insert(64);
     }
 
     #[test]
     #[should_panic(expected = "outside the declared domain")]
-    fn dense_rejects_out_of_domain_insert() {
-        PendingTable::for_domain(4, 64).insert(64);
+    fn empty_slot_key_is_rejected() {
+        PendingTable::new(4).insert(u32::MAX);
     }
 
     #[test]

@@ -87,15 +87,17 @@ pub struct RigClient {
 
 impl RigClient {
     /// Creates a client unit for `node`, thread id `tid`, with a pending
-    /// table of `pending_entries` accepting arbitrary `u32` idxs.
+    /// table of `pending_entries` accepting every idx except `u32::MAX`,
+    /// which the table reserves as its empty-slot key.
     pub fn new(node: u32, tid: u16, pending_entries: usize) -> Self {
         Self::build(node, tid, PendingTable::new(pending_entries))
     }
 
     /// Like [`RigClient::new`], but declares that every idx this unit will
-    /// ever see lies in `[0, idx_domain)` (the workload's column count),
-    /// letting the pending table use its dense-bitset backing
-    /// ([`PendingTable::for_domain`]) for O(1) coalescing probes.
+    /// ever see lies in `[0, idx_domain)` (the workload's column count):
+    /// the pending table ([`PendingTable::for_domain`]) panics on an
+    /// insert outside it. Its size and probe cost do not depend on the
+    /// domain.
     pub fn with_idx_domain(node: u32, tid: u16, pending_entries: usize, idx_domain: u32) -> Self {
         Self::build(
             node,

@@ -13,7 +13,8 @@
 # auditor active via debug_assertions), the tier-1 release build + tests,
 # the fault-recovery suite under the release auditor (see
 # docs/FAULTS.md), the structured-tracing suites with the `trace` feature
-# on (see docs/OBSERVABILITY.md), smoke runs of the ext_fault_sweep and
+# on (see docs/OBSERVABILITY.md), the repo benchmark's tests in its
+# per-layer (`trace`) build, smoke runs of the ext_fault_sweep and
 # ext_trace extension experiments, the serial-vs-parallel sweep
 # equivalence suite, a timed `repro_all --parallel` smoke via
 # `bench_sweep`, which emits BENCH_sweep.json with serial vs parallel
@@ -64,6 +65,9 @@ if [[ "$fast" -eq 0 ]]; then
         --test trace_golden --test trace_consistency --test trace_exporters \
         --test protocol_properties
     run cargo run --release -q -p netsparse-bench --features trace --bin ext_trace -- --scale 0.05
+    # The benchmark's per-layer pass replays RigClient, IdxFilter and the
+    # other components; test it in the build that pass uses.
+    run cargo test -q --release -p netsparse-bench --bin benchmark --features trace
     # Parallel sweeps must be byte-identical to serial at any worker
     # count, audit digests included (see docs/ARCHITECTURE.md).
     run cargo test -q -p netsparse-tests --features audit --release --test sweep_parallel
