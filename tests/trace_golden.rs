@@ -8,7 +8,7 @@
 //!
 //! Requires `--features trace`.
 
-use netsparse::{simulate_traced, ClusterConfig, SimReport};
+use netsparse::{simulate_traced, ClusterConfig, Mechanisms, SimReport};
 use netsparse_desim::TraceConfig;
 use netsparse_netsim::Topology;
 use netsparse_sparse::suite::SuiteConfig;
@@ -34,9 +34,28 @@ const GOLDEN_PREFIX_SEED7: &str = "\
 /// How many records the seed-7 run captures (no drops at this scale).
 const GOLDEN_LEN_SEED7: usize = 12_045;
 
+/// Digest of the seed-7 run of the same point with every handler
+/// bypassed (`Mechanisms::rig_only()`): each remote idx is its own
+/// packet, so links backlog thousands of packets deep and the event
+/// queue holds ~4,600 pending events on average (the all-mechanisms
+/// point averages under 100 and never backlogs a link). This pins the
+/// order in which long per-link FIFO bursts interleave.
+const RIG_ONLY_DIGEST_SEED7: u64 = 0xa14b_165b_6e21_cf67;
+/// Digest of the seed-11 rig-only run.
+const RIG_ONLY_DIGEST_SEED11: u64 = 0x059b_a5c0_1317_9d35;
+/// How many records the seed-7 rig-only run captures.
+const RIG_ONLY_LEN_SEED7: usize = 62_132;
+/// How many events the seed-7 rig-only run processes.
+const RIG_ONLY_EVENTS_SEED7: u64 = 36_334;
+
 /// The pinned golden configuration: same cluster and workload shape as
 /// `determinism.rs`, with tracing attached at default capacity.
 fn golden_run(seed: u64) -> SimReport {
+    golden_run_with(seed, Mechanisms::all())
+}
+
+/// The golden configuration under an explicit mechanism set.
+fn golden_run_with(seed: u64, mechanisms: Mechanisms) -> SimReport {
     let topo = Topology::LeafSpine {
         racks: 2,
         rack_size: 4,
@@ -50,7 +69,8 @@ fn golden_run(seed: u64) -> SimReport {
         seed,
     }
     .generate();
-    let cfg = ClusterConfig::mini(topo, 16);
+    let mut cfg = ClusterConfig::mini(topo, 16);
+    cfg.mechanisms = mechanisms;
     simulate_traced(&cfg, &wl, TraceConfig::default())
 }
 
@@ -96,6 +116,35 @@ fn golden_digest_matches_the_committed_constants() {
         b.trace.as_ref().unwrap().digest,
         GOLDEN_DIGEST_SEED11,
         "seed-11 trace digest changed: {:#018x}",
+        b.trace.as_ref().unwrap().digest
+    );
+}
+
+#[test]
+fn rig_only_digest_matches_the_committed_constants() {
+    let a = golden_run_with(7, Mechanisms::rig_only());
+    assert!(a.functional_check_passed);
+    assert_eq!(
+        a.events, RIG_ONLY_EVENTS_SEED7,
+        "rig-only seed-7 event count changed"
+    );
+    let tr = a.trace.as_ref().unwrap();
+    assert_eq!(tr.buffer.dropped(), 0, "golden runs must not drop");
+    assert_eq!(
+        tr.buffer.len(),
+        RIG_ONLY_LEN_SEED7,
+        "rig-only seed-7 record count changed; retune the golden constants"
+    );
+    assert_eq!(
+        tr.digest, RIG_ONLY_DIGEST_SEED7,
+        "rig-only seed-7 trace digest changed: {:#018x}",
+        tr.digest
+    );
+    let b = golden_run_with(11, Mechanisms::rig_only());
+    assert_eq!(
+        b.trace.as_ref().unwrap().digest,
+        RIG_ONLY_DIGEST_SEED11,
+        "rig-only seed-11 trace digest changed: {:#018x}",
         b.trace.as_ref().unwrap().digest
     );
 }
