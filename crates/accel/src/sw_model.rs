@@ -54,13 +54,12 @@ impl SuOptModel {
 
     /// The kernel's communication time: the slowest node's receive time.
     /// Under SU every node receives all remotely owned properties, so this
-    /// is simply the maximum per-node `su_received`.
+    /// is simply the maximum per-node `su_received`: the columns outside
+    /// the node's own part.
     pub fn kernel_comm_time(&self, wl: &CommWorkload, k: u32) -> f64 {
-        let stats = wl.pattern_stats();
-        stats
-            .per_node
-            .iter()
-            .map(|n| self.comm_time(n.su_received, k))
+        let part = wl.partition();
+        (0..wl.nodes())
+            .map(|p| self.comm_time(u64::from(wl.n_cols() - part.part_len(p)), k))
             .fold(0.0, f64::max)
     }
 }
@@ -111,6 +110,7 @@ impl SaOptModel {
     /// Table 7 reports several-fold more PRs for SAOpt than for NetSparse.
     pub fn node_pr_count(&self, wl: &CommWorkload, node: u32) -> u64 {
         let stream = wl.stream(node);
+        let part = wl.partition();
         let cores = self.cores.max(1) as usize;
         // Approximate one matrix row as stream_len / rows contiguous idxs.
         let row_len = (stream.len() / wl.rows_of(node).max(1) as usize).max(1);
@@ -119,7 +119,7 @@ impl SaOptModel {
         for (row, slice) in stream.chunks(row_len).enumerate() {
             let core = row % cores;
             for &idx in slice {
-                if wl.owner(idx) != node && seen[core].insert(idx) {
+                if !part.is_local(node, idx) && seen[core].insert(idx) {
                     total += 1;
                 }
             }
@@ -205,12 +205,13 @@ impl HybridOptModel {
     /// Communication time for one specific popularity threshold.
     pub fn comm_time_at(&self, wl: &CommWorkload, k: u32, threshold: u32) -> f64 {
         // Count, per column, how many distinct nodes need it remotely.
+        let part = wl.partition();
         let mut requesters: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
         let mut per_node_unique: Vec<HashSet<u32>> = Vec::with_capacity(wl.nodes() as usize);
         for p in 0..wl.nodes() {
             let mut uniq = HashSet::new();
             for &idx in wl.stream(p) {
-                if wl.owner(idx) != p && uniq.insert(idx) {
+                if !part.is_local(p, idx) && uniq.insert(idx) {
                     *requesters.entry(idx).or_insert(0) += 1;
                 }
             }
@@ -228,7 +229,10 @@ impl HybridOptModel {
         for p in 0..wl.nodes() {
             // Broadcast side: every node receives every remotely owned
             // popular column at full line rate (SU-optimal assumptions).
-            let pop_remote = popular.iter().filter(|&&idx| wl.owner(idx) != p).count() as f64;
+            let pop_remote = popular
+                .iter()
+                .filter(|&&idx| !part.is_local(p, idx))
+                .count() as f64;
             // SA side: the node's tail columns through Conveyors, with
             // the same per-core prefiltering as SAOpt but restricted to
             // non-popular columns.
@@ -242,6 +246,7 @@ impl HybridOptModel {
 
     fn sa_side_pr_count(&self, wl: &CommWorkload, node: u32, popular: &HashSet<u32>) -> u64 {
         let stream = wl.stream(node);
+        let part = wl.partition();
         let cores = self.sa.cores.max(1) as usize;
         let row_len = (stream.len() / wl.rows_of(node).max(1) as usize).max(1);
         let mut seen: Vec<HashSet<u32>> = vec![HashSet::new(); cores];
@@ -249,7 +254,7 @@ impl HybridOptModel {
         for (row, slice) in stream.chunks(row_len).enumerate() {
             let core = row % cores;
             for &idx in slice {
-                if wl.owner(idx) != node && !popular.contains(&idx) && seen[core].insert(idx) {
+                if !part.is_local(node, idx) && !popular.contains(&idx) && seen[core].insert(idx) {
                     total += 1;
                 }
             }
@@ -411,6 +416,52 @@ mod tests {
         let t2 = hybrid.comm_time_at(&wl, 16, 2);
         let t_sa = hybrid.comm_time_at(&wl, 16, u32::MAX);
         assert!(t2 <= t_sa);
+    }
+
+    #[test]
+    fn models_match_an_owner_based_count_with_an_empty_part() {
+        // Remoteness is tested against each node's own range; check both
+        // models against counts that ask `owner()` instead, on a
+        // partition whose part 1 owns nothing (every idx is remote to it).
+        let part = Partition1D::from_bounds(100, vec![0, 30, 30, 70, 100]);
+        // Scrambled idxs over every column, with repeats.
+        let streams: Vec<Vec<u32>> = (0..4u32)
+            .map(|p| {
+                (0..400u32)
+                    .map(|i| (i * i * 31 + i * 7 + p * 13) % 100)
+                    .collect()
+            })
+            .collect();
+        let wl = CommWorkload::from_streams(part, vec![7, 3, 5, 1], streams);
+
+        let mut sa = SaOptModel::paper();
+        sa.cores = 3;
+        for node in 0..4 {
+            let stream = wl.stream(node);
+            let row_len = (stream.len() / wl.rows_of(node) as usize).max(1);
+            let mut seen = vec![HashSet::new(); 3];
+            let mut expect = 0u64;
+            for (row, slice) in stream.chunks(row_len).enumerate() {
+                for &idx in slice {
+                    if wl.owner(idx) != node && seen[row % 3].insert(idx) {
+                        expect += 1;
+                    }
+                }
+            }
+            assert_eq!(sa.node_pr_count(&wl, node), expect, "node {node}");
+        }
+        assert!(
+            sa.node_pr_count(&wl, 1) > 0,
+            "the empty part reads remotely"
+        );
+
+        let su = SuOptModel::new(400.0);
+        let su_received = (0..4)
+            .map(|node| (0..100).filter(|&idx| wl.owner(idx) != node).count() as u64)
+            .max()
+            .unwrap();
+        assert_eq!(su_received, 100, "the empty part receives every column");
+        assert_eq!(su.kernel_comm_time(&wl, 16), su.comm_time(su_received, 16));
     }
 
     #[test]

@@ -31,6 +31,39 @@ fn bench_event_queue(c: &mut Criterion) {
             }
         })
     });
+    // The hold model on 256 backlogged links, 256 packets deep each
+    // (64 Ki pending): every popped arrival sends one more packet down
+    // its link, behind that link's backlog, on the link's lane. Only
+    // each link's head sits in the heap.
+    g.bench_function("link_backlog_64k", |b| {
+        const LINKS: u32 = 256;
+        const DEPTH: u32 = 256;
+        fn send(
+            q: &mut EventQueue<u32>,
+            busy_until: &mut [SimTime],
+            rng: &mut SplitMix64,
+            link: u32,
+            now: SimTime,
+        ) {
+            let wire = &mut busy_until[link as usize];
+            *wire = (*wire).max(now) + SimTime::from_ps(rng.range_u64(1, 2_000));
+            q.push_lane(link, *wire + SimTime::from_ns(450), link);
+        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut busy_until = vec![SimTime::ZERO; LINKS as usize];
+        let mut rng = SplitMix64::new(13);
+        for _ in 0..DEPTH {
+            for link in 0..LINKS {
+                send(&mut q, &mut busy_until, &mut rng, link, SimTime::ZERO);
+            }
+        }
+        b.iter(|| {
+            for _ in 0..10_000 {
+                let (now, link) = q.pop().expect("the hold model keeps its occupancy");
+                send(&mut q, &mut busy_until, &mut rng, link, now);
+            }
+        })
+    });
     g.finish();
 }
 

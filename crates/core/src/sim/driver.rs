@@ -23,7 +23,9 @@ use netsparse_snic::{ConcatPacket, PrKind};
 use netsparse_sparse::CommWorkload;
 
 #[cfg(feature = "trace")]
-use netsparse_desim::trace::{lane, TraceConfig, TraceEvent, TraceReport, Tracer, TrackId};
+use netsparse_desim::trace::{
+    lane, DropReason, TraceConfig, TraceEvent, TraceReport, Tracer, TrackId,
+};
 
 use crate::config::ClusterConfig;
 use crate::metrics::{FaultReport, HotLink, NodeReport, ReduceReport, SimReport};
@@ -109,6 +111,24 @@ impl Shared {
         if let Some(tr) = &self.tracer {
             tr.record(track, event);
         }
+    }
+
+    /// Blackholes `pkt` at switch `sw` because its switch, route or next
+    /// link is dead: counts the drop, closes the reduction ledger for it
+    /// and traces it. The watchdog recovers the PRs it carried.
+    pub(crate) fn drop_dead(&mut self, sw: u32, pkt: &ConcatPacket) {
+        self.faults.dropped_dead += 1;
+        self.account_partial_drop(pkt);
+        #[cfg(feature = "trace")]
+        self.trace(
+            TrackId::switch(sw, lane::FAULT),
+            TraceEvent::PacketDropped {
+                reason: DropReason::Dead,
+                prs: pkt.prs.len() as u32,
+            },
+        );
+        #[cfg(not(feature = "trace"))]
+        let _ = sw;
     }
 
     /// Closes the reduction conservation ledger for a dropped packet: any

@@ -5,9 +5,12 @@
 //! directly — they hand packet batches to [`Fabric::send_batch_from_nic`]
 //! / [`Fabric::send_from_switch`], and the fabric serializes them onto
 //! links, consults the forwarding tables, and schedules the arrival
-//! events. Fault transitions (scheduled failures and repairs) are fabric
-//! events: they mutate the [`FailureSet`] and reconverge every route over
-//! the survivors.
+//! events. Each arrival is scheduled on the event-queue lane numbered by
+//! its [`LinkId`]: [`Link::transmit`] returns nondecreasing arrival times
+//! (the wire's `busy_until` never moves back and its latency is fixed),
+//! which is exactly the order a lane requires. Fault transitions
+//! (scheduled failures and repairs) are fabric events: they mutate the
+//! [`FailureSet`] and reconverge every route over the survivors.
 
 use netsparse_desim::{Scheduler, SimTime};
 use netsparse_netsim::topology::FailureSet;
@@ -15,7 +18,7 @@ use netsparse_netsim::{Element, Link, LinkId, Network, SwitchId, Topology};
 use netsparse_snic::ConcatPacket;
 
 #[cfg(feature = "trace")]
-use netsparse_desim::trace::{lane, DropReason, TraceEvent, TrackId};
+use netsparse_desim::trace::{TraceEvent, TrackId};
 
 use crate::config::{ClusterConfig, FaultTarget};
 use crate::sim::driver::Shared;
@@ -156,8 +159,7 @@ impl Fabric {
     }
 
     /// Serializes a batch of packets onto `node`'s uplink and schedules
-    /// their arrivals at the node's ToR as one scheduler batch (a single
-    /// queue operation per flush instead of one heap push per packet).
+    /// their arrivals at the node's ToR on the uplink's event-queue lane.
     /// Drains `batch` so the caller can reuse its allocation.
     pub(crate) fn send_batch_from_nic(
         &mut self,
@@ -165,29 +167,22 @@ impl Fabric {
         batch: &mut Vec<(SimTime, ConcatPacket)>,
         sched: &mut Scheduler<'_, Event>,
     ) {
-        if batch.is_empty() {
-            return;
-        }
         let (link, sw) = self.from_nic[node as usize];
-        let link = &mut self.links[link.0 as usize];
         let now = sched.now();
-        sched.schedule_batch(batch.drain(..).map(|(at, pkt)| {
-            let arrive = link.transmit(at.max(now), pkt.wire_bytes);
-            (
-                arrive,
-                Event::PacketAtSwitch {
-                    switch: sw,
-                    from_nic: true,
-                    pkt,
-                },
-            )
-        }));
+        for (at, pkt) in batch.drain(..) {
+            let arrive = self.links[link.0 as usize].transmit(at.max(now), pkt.wire_bytes);
+            let event = Event::PacketAtSwitch {
+                switch: sw,
+                from_nic: true,
+                pkt,
+            };
+            sched.schedule_lane(link.0, arrive, event);
+        }
     }
 
-    /// Forwards a batch of packets one hop from `sw`, scheduling every
-    /// surviving arrival as one scheduler batch; unroutable packets are
-    /// blackholed and counted exactly as in [`Fabric::send_from_switch`].
-    /// Drains `batch` so the caller can reuse its allocation.
+    /// Forwards a batch of packets one hop from `sw`, each exactly as
+    /// [`Fabric::send_from_switch`] does. Drains `batch` so the caller can
+    /// reuse its allocation.
     pub(crate) fn send_batch_from_switch(
         &mut self,
         shared: &mut Shared,
@@ -195,61 +190,14 @@ impl Fabric {
         batch: &mut Vec<(SimTime, ConcatPacket)>,
         sched: &mut Scheduler<'_, Event>,
     ) {
-        if batch.is_empty() {
-            return;
+        for (at, pkt) in batch.drain(..) {
+            self.send_from_switch(shared, sw, at, pkt, sched);
         }
-        let Fabric {
-            links,
-            from_switch,
-            failures,
-            ..
-        } = self;
-        let row = &from_switch[sw as usize];
-        let now = sched.now();
-        sched.schedule_batch(batch.drain(..).filter_map(|(at, pkt)| {
-            let Some((link, to)) = row[pkt.dest as usize] else {
-                shared.faults.dropped_dead += 1;
-                shared.account_partial_drop(&pkt);
-                #[cfg(feature = "trace")]
-                shared.trace(
-                    TrackId::switch(sw, lane::FAULT),
-                    TraceEvent::PacketDropped {
-                        reason: DropReason::Dead,
-                        prs: pkt.prs.len() as u32,
-                    },
-                );
-                return None;
-            };
-            if failures.link_dead(link) {
-                shared.faults.dropped_dead += 1;
-                shared.account_partial_drop(&pkt);
-                #[cfg(feature = "trace")]
-                shared.trace(
-                    TrackId::switch(sw, lane::FAULT),
-                    TraceEvent::PacketDropped {
-                        reason: DropReason::Dead,
-                        prs: pkt.prs.len() as u32,
-                    },
-                );
-                return None;
-            }
-            let arrive = links[link.0 as usize].transmit(at.max(now), pkt.wire_bytes);
-            Some(match to {
-                Element::Switch(next) => (
-                    arrive,
-                    Event::PacketAtSwitch {
-                        switch: next.0,
-                        from_nic: false,
-                        pkt,
-                    },
-                ),
-                Element::Nic(n) => (arrive, Event::PacketAtNic { node: n, pkt }),
-            })
-        }));
     }
 
-    /// Forwards `pkt` one hop from `sw` toward its destination, or
-    /// blackholes it if the route is gone.
+    /// Forwards `pkt` one hop from `sw` toward its destination, scheduling
+    /// its arrival on the outgoing link's event-queue lane, or blackholes
+    /// it if the route is gone.
     pub(crate) fn send_from_switch(
         &mut self,
         shared: &mut Shared,
@@ -263,45 +211,21 @@ impl Fabric {
         // unreachable, or the packet may sit on a stale path after a
         // failover rebuild. Either way the packet is blackholed here and
         // the watchdog recovers the PRs it carried.
-        let Some((link, to)) = self.from_switch[sw as usize][pkt.dest as usize] else {
-            shared.faults.dropped_dead += 1;
-            shared.account_partial_drop(&pkt);
-            #[cfg(feature = "trace")]
-            shared.trace(
-                TrackId::switch(sw, lane::FAULT),
-                TraceEvent::PacketDropped {
-                    reason: DropReason::Dead,
-                    prs: pkt.prs.len() as u32,
-                },
-            );
+        let route = self.from_switch[sw as usize][pkt.dest as usize];
+        let Some((link, to)) = route.filter(|&(link, _)| !self.failures.link_dead(link)) else {
+            shared.drop_dead(sw, &pkt);
             return;
         };
-        if self.failures.link_dead(link) {
-            shared.faults.dropped_dead += 1;
-            shared.account_partial_drop(&pkt);
-            #[cfg(feature = "trace")]
-            shared.trace(
-                TrackId::switch(sw, lane::FAULT),
-                TraceEvent::PacketDropped {
-                    reason: DropReason::Dead,
-                    prs: pkt.prs.len() as u32,
-                },
-            );
-            return;
-        }
-        let bytes = pkt.wire_bytes;
-        let arrive = self.links[link.0 as usize].transmit(at.max(sched.now()), bytes);
-        match to {
-            Element::Switch(next) => sched.schedule(
-                arrive,
-                Event::PacketAtSwitch {
-                    switch: next.0,
-                    from_nic: false,
-                    pkt,
-                },
-            ),
-            Element::Nic(n) => sched.schedule(arrive, Event::PacketAtNic { node: n, pkt }),
-        }
+        let arrive = self.links[link.0 as usize].transmit(at.max(sched.now()), pkt.wire_bytes);
+        let event = match to {
+            Element::Switch(next) => Event::PacketAtSwitch {
+                switch: next.0,
+                from_nic: false,
+                pkt,
+            },
+            Element::Nic(n) => Event::PacketAtNic { node: n, pkt },
+        };
+        sched.schedule_lane(link.0, arrive, event);
     }
 
     /// Applies a scheduled failure or repair, then reconverges routing.
@@ -423,6 +347,22 @@ mod tests {
         }
     }
 
+    /// A one-PR read packet toward `dest` carrying `idx`.
+    fn packet(dest: u32, idx: u32) -> ConcatPacket {
+        ConcatPacket::degraded_singleton(
+            &netsparse_snic::HeaderSpec::paper(),
+            dest,
+            netsparse_snic::PrKind::Read,
+            netsparse_snic::Pr {
+                src_node: 0,
+                src_tid: 0,
+                idx,
+                req_id: idx,
+            },
+            0,
+        )
+    }
+
     /// A packet toward an unreachable destination is blackholed and
     /// counted, not forwarded or panicked on.
     #[test]
@@ -431,22 +371,62 @@ mod tests {
         // Kill node 7's downlink path entirely by failing its ToR.
         f.apply_fault(&mut shared, FaultAction::FailSwitch(SwitchId(1)));
         let dropped_before = shared.faults.dropped_dead;
-        let pkt = ConcatPacket::degraded_singleton(
-            &netsparse_snic::HeaderSpec::paper(),
-            7,
-            netsparse_snic::PrKind::Read,
-            netsparse_snic::Pr {
-                src_node: 0,
-                src_tid: 0,
-                idx: 1,
-                req_id: 1,
-            },
-            0,
-        );
         let mut queue = netsparse_desim::EventQueue::new();
         let mut sched = netsparse_desim::Scheduler::at(&mut queue, SimTime::ZERO);
-        f.send_from_switch(&mut shared, 0, SimTime::ZERO, pkt, &mut sched);
+        f.send_from_switch(&mut shared, 0, SimTime::ZERO, packet(7, 1), &mut sched);
         assert_eq!(shared.faults.dropped_dead, dropped_before + 1);
         assert!(queue.is_empty(), "blackholed packet must not schedule");
+    }
+
+    /// Two back-to-back bursts on one uplink arrive at the ToR in send
+    /// order, one serialization time apart. Events scheduled off the lane
+    /// between the bursts, at the same instants as two arrivals, keep
+    /// their push order against them: after the first burst's packet,
+    /// before the second burst's.
+    #[test]
+    fn uplink_burst_arrives_in_fifo_order() {
+        let (mut f, _) = fabric_and_shared();
+        let (uplink, tor) = f.from_nic[0];
+        let params = *f.links[uplink.0 as usize].params();
+        let ser = params.serialization(packet(5, 0).wire_bytes);
+        let latency: SimTime = params.latency.into();
+        let arrival = |i: u64| SimTime::from_ps(ser.as_ps() * (i + 1)) + latency;
+
+        let mut queue = netsparse_desim::EventQueue::new();
+        let mut sched = netsparse_desim::Scheduler::at(&mut queue, SimTime::ZERO);
+        let mut batch: Vec<(SimTime, ConcatPacket)> =
+            (0..16).map(|i| (SimTime::ZERO, packet(5, i))).collect();
+        f.send_batch_from_nic(0, &mut batch, &mut sched);
+        assert!(batch.is_empty(), "the batch is drained for reuse");
+        sched.schedule(arrival(5), Event::HostIssue { node: 5 });
+        sched.schedule(arrival(20), Event::HostIssue { node: 20 });
+        batch.extend((16..32).map(|i| (SimTime::ZERO, packet(5, i))));
+        f.send_batch_from_nic(0, &mut batch, &mut sched);
+        assert_eq!(queue.len(), 34);
+
+        let mut order = Vec::new();
+        while let Some((t, ev)) = queue.pop() {
+            match ev {
+                Event::PacketAtSwitch {
+                    switch,
+                    from_nic: true,
+                    pkt,
+                } => {
+                    assert_eq!(switch, tor);
+                    let idx = pkt.prs[0].idx;
+                    assert_eq!(t, arrival(u64::from(idx)), "packet {idx} mistimed");
+                    order.push(format!("p{idx}"));
+                }
+                Event::HostIssue { node } => {
+                    assert_eq!(t, arrival(u64::from(node)));
+                    order.push(format!("h{node}"));
+                }
+                _ => panic!("unexpected event"),
+            }
+        }
+        let mut expect: Vec<String> = (0..32).map(|i| format!("p{i}")).collect();
+        expect.insert(20, "h20".into());
+        expect.insert(6, "h5".into());
+        assert_eq!(order, expect);
     }
 }

@@ -300,8 +300,8 @@ impl NodeState {
         }
     }
 
-    /// Flushes expired NIC concatenation queues onto the uplink as one
-    /// scheduler batch.
+    /// Flushes expired NIC concatenation queues onto the uplink through
+    /// the pooled output buffer.
     fn concat_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         self.concat_sched = None;
         let mut out = std::mem::take(&mut self.out_buf);

@@ -131,8 +131,8 @@ impl RackState {
         }
     }
 
-    /// Flushes expired concatenation queues onto the forwarding path as
-    /// one scheduler batch.
+    /// Flushes expired concatenation queues onto the forwarding path
+    /// through the pooled output buffer.
     fn concat_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         self.concat_sched = None;
         let mut out = std::mem::take(&mut self.out_buf);
@@ -179,16 +179,7 @@ impl RackState {
         // process (Bernoulli or Gilbert–Elliott bursts) per traversal.
         // Detection/recovery is the RIG watchdog.
         if ctx.fabric.failures.switch_dead(SwitchId(sw)) {
-            ctx.shared.faults.dropped_dead += 1;
-            ctx.shared.account_partial_drop(&pkt);
-            #[cfg(feature = "trace")]
-            ctx.shared.trace(
-                TrackId::switch(sw, lane::FAULT),
-                TraceEvent::PacketDropped {
-                    reason: DropReason::Dead,
-                    prs: pkt.prs.len() as u32,
-                },
-            );
+            ctx.shared.drop_dead(sw, &pkt);
             return;
         }
         if ctx.shared.loss_active && ctx.shared.loss.drop_packet() {

@@ -1,8 +1,12 @@
 //! The event queue and the simulation driver.
 //!
-//! [`EventQueue`] is a deterministic priority queue of `(time, event)` pairs
-//! on a [`BinaryHeap`]: ties in time are broken by insertion order, so a
-//! simulation is a pure function of its inputs. [`Engine`] wraps the queue
+//! [`EventQueue`] is a deterministic priority queue of `(time, event)` pairs:
+//! ties in time are broken by insertion order, so a simulation is a pure
+//! function of its inputs. Besides plain pushes onto its [`BinaryHeap`] it
+//! has FIFO *lanes* for streams whose times never decrease, such as the
+//! arrivals one link produces: a lane's entries wait in a slab-backed list
+//! and only its head sits in the heap, so a backlog of thousands of
+//! packets costs the heap one entry per link. [`Engine`] wraps the queue
 //! with the run loop — event counting, the optional [`Liveness`] budgets
 //! and the runtime auditor — and hands each handler a [`Scheduler`] view
 //! through which new events are pushed.
@@ -85,10 +89,18 @@ impl fmt::Display for StallReport {
 
 impl std::error::Error for StallReport {}
 
+/// What a heap entry stands for.
+enum Slot<E> {
+    /// An event pushed with [`EventQueue::push`].
+    Event(E),
+    /// The head of this lane; its event waits in the slab.
+    Lane(u32),
+}
+
 struct Entry<E> {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: Slot<E>,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -109,6 +121,32 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// The end of a lane list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab node: a lane entry, or (with `event == None`) a free node.
+struct Node<E> {
+    time: SimTime,
+    seq: u64,
+    event: Option<E>,
+    /// The next entry of the same lane, or the next free node.
+    next: u32,
+}
+
+/// A lane's list of slab nodes, oldest first; `NIL` at both ends when empty.
+#[derive(Clone, Copy)]
+struct Lane {
+    head: u32,
+    tail: u32,
+}
+
+impl Lane {
+    const EMPTY: Lane = Lane {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// A deterministic min-priority queue of timestamped events.
 ///
 /// Events that share a timestamp are delivered in the order they were
@@ -117,6 +155,13 @@ impl<E> Ord for Entry<E> {
 /// number, so `(time, seq)` is a total order and the pop stream is a pure
 /// function of the pushes.
 ///
+/// [`EventQueue::push_lane`] appends to a FIFO lane instead of the heap.
+/// Its entries take their `seq` at push time like any other, and a lane's
+/// times may not decrease, so each lane is already sorted by
+/// `(time, seq)`: the heap holds only each non-empty lane's head, under
+/// the head's own `(time, seq)`, and [`EventQueue::pop`] is a k-way merge
+/// that yields exactly the order an all-heap queue would.
+///
 /// # Example
 ///
 /// ```
@@ -124,15 +169,27 @@ impl<E> Ord for Entry<E> {
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_ns(5), "b");
 /// q.push(SimTime::from_ns(1), "a");
+/// q.push_lane(0, SimTime::from_ns(2), "lane 0, first");
 /// q.push(SimTime::from_ns(5), "c");
+/// q.push_lane(0, SimTime::from_ns(5), "lane 0, second");
+/// assert_eq!(q.len(), 5);
 /// assert_eq!(q.pop(), Some((SimTime::from_ns(1), "a")));
+/// assert_eq!(q.pop(), Some((SimTime::from_ns(2), "lane 0, first")));
 /// assert_eq!(q.pop(), Some((SimTime::from_ns(5), "b")));
 /// assert_eq!(q.pop(), Some((SimTime::from_ns(5), "c")));
+/// assert_eq!(q.pop(), Some((SimTime::from_ns(5), "lane 0, second")));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
+    /// Lane entries queued behind their lane's head, the pending events
+    /// the heap does not count.
+    behind_heads: usize,
+    lanes: Vec<Lane>,
+    slab: Vec<Node<E>>,
+    /// Head of the free-node list threaded through `slab`.
+    free: u32,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -147,34 +204,146 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
+            behind_heads: 0,
+            lanes: Vec::new(),
+            slab: Vec::new(),
+            free: NIL,
         }
+    }
+
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
 
     /// Schedules `event` at `time`.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let seq = self.next_seq();
+        self.heap.push(Entry {
+            time,
+            seq,
+            slot: Slot::Event(event),
+        });
+    }
+
+    /// Schedules `event` at `time` at the back of FIFO lane `lane`. Lanes
+    /// are numbered densely from 0; the queue grows to the highest lane
+    /// pushed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the last entry still queued on
+    /// `lane`: a lane pops in push order, so a later push with an earlier
+    /// time would silently be delivered out of time order.
+    #[inline]
+    pub fn push_lane(&mut self, lane: u32, time: SimTime, event: E) {
+        let l = lane as usize;
+        if l >= self.lanes.len() {
+            self.lanes.resize(l + 1, Lane::EMPTY);
+        }
+        let tail = self.lanes[l].tail;
+        if tail != NIL {
+            let last = self.slab[tail as usize].time;
+            assert!(
+                time >= last,
+                "lane {lane} went back in time: {time} pushed behind {last}"
+            );
+        }
+        let seq = self.next_seq();
+        let node = Node {
+            time,
+            seq,
+            event: Some(event),
+            next: NIL,
+        };
+        let id = if self.free == NIL {
+            // Node ids are u32 with `NIL` reserved.
+            assert!(self.slab.len() < NIL as usize, "lane slab is full");
+            self.slab.push(node);
+            (self.slab.len() - 1) as u32
+        } else {
+            let id = self.free;
+            self.free = std::mem::replace(&mut self.slab[id as usize], node).next;
+            id
+        };
+        if tail == NIL {
+            self.lanes[l].head = id;
+            self.heap.push(Entry {
+                time,
+                seq,
+                slot: Slot::Lane(lane),
+            });
+        } else {
+            self.slab[tail as usize].next = id;
+            self.behind_heads += 1;
+        }
+        self.lanes[l].tail = id;
     }
 
     /// Removes and returns the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        let Entry { time, slot, .. } = self.heap.pop()?;
+        let event = match slot {
+            Slot::Event(event) => event,
+            Slot::Lane(lane) => self.pop_lane_head(lane)?,
+        };
+        Some((time, event))
     }
 
-    /// Number of pending events.
+    /// Unlinks `lane`'s head and frees its node, putting the lane's next
+    /// entry (if any) into the heap. Returns `None` only if the slab is
+    /// inconsistent: a lane head always holds its event.
+    ///
+    /// Kept out of line: inlined, it made the plain heap pop ~3.5% slower
+    /// (1 Ki hold model) and the lane pop no faster.
+    #[inline(never)]
+    fn pop_lane_head(&mut self, lane: u32) -> Option<E> {
+        let l = &mut self.lanes[lane as usize];
+        let id = l.head;
+        let node = &mut self.slab[id as usize];
+        let event = node.event.take()?;
+        l.head = std::mem::replace(&mut node.next, self.free);
+        self.free = id;
+        if l.head == NIL {
+            l.tail = NIL;
+        } else {
+            self.behind_heads -= 1;
+            let next = &self.slab[l.head as usize];
+            self.heap.push(Entry {
+                time: next.time,
+                seq: next.seq,
+                slot: Slot::Lane(lane),
+            });
+        }
+        Some(event)
+    }
+
+    /// Number of pending events, lane entries included.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.behind_heads
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
+        // Every non-empty lane keeps its head in the heap.
         self.heap.is_empty()
     }
+}
+
+/// Panics if `time` is before `now`: causality violations are always bugs
+/// in a model, and failing loudly at the push localizes them.
+#[inline]
+fn assert_causal(now: SimTime, time: SimTime) {
+    assert!(
+        time >= now,
+        "attempted to schedule event in the past: now={now}, requested={time}"
+    );
 }
 
 /// The scheduling interface handed to event handlers.
@@ -213,13 +382,23 @@ impl<E> Scheduler<'_, E> {
     /// bugs in a model, and failing loudly here localizes them.
     #[inline]
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.now,
-            "attempted to schedule event in the past: now={}, requested={}",
-            self.now,
-            time
-        );
+        assert_causal(self.now, time);
         self.queue.push(time, event);
+    }
+
+    /// Schedules `event` at absolute time `time` on FIFO lane `lane` (see
+    /// [`EventQueue::push_lane`]). Delivery order is exactly what
+    /// [`Scheduler::schedule`] would give: the event takes its sequence
+    /// number now, and only where it waits differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is in the past, like `schedule`, or earlier than
+    /// the last event still queued on `lane`.
+    #[inline]
+    pub fn schedule_lane(&mut self, lane: u32, time: SimTime, event: E) {
+        assert_causal(self.now, time);
+        self.queue.push_lane(lane, time, event);
     }
 
     /// Schedules `event` after a relative delay from now.
@@ -233,22 +412,6 @@ impl<E> Scheduler<'_, E> {
     #[inline]
     pub fn schedule_now(&mut self, event: E) {
         self.queue.push(self.now, event);
-    }
-
-    /// Schedules a whole batch of `(time, event)` pairs in iteration
-    /// order: one call, consecutive sequence numbers, and exactly the
-    /// delivery order N individual [`Scheduler::schedule`] calls would
-    /// produce. Batch emitters (link flushes in the fabric) use this so
-    /// a drained pool buffer turns into one scheduled batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any item's time is in the past, like `schedule`.
-    #[inline]
-    pub fn schedule_batch(&mut self, batch: impl IntoIterator<Item = (SimTime, E)>) {
-        for (time, event) in batch {
-            self.schedule(time, event);
-        }
     }
 }
 
@@ -285,12 +448,7 @@ impl<E> Engine<E> {
 
     /// Schedules an event from outside the run loop (initial stimulus).
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.now,
-            "attempted to schedule event in the past: now={}, requested={}",
-            self.now,
-            time
-        );
+        assert_causal(self.now, time);
         self.queue.push(time, event);
     }
 
@@ -553,7 +711,10 @@ mod tests {
         // Interleaved pushes and pops with clustered, duplicated and
         // far-apart timestamps, checked against a model that pops the
         // linear minimum of `(time, seq)`: same-time entries must come
-        // out in push order even while pops interleave with pushes.
+        // out in push order even while pops interleave with pushes. A
+        // third of the pushes go to four FIFO lanes, each fed
+        // nondecreasing times (with same-time runs), as a link feeds its
+        // arrivals; the merge must still match the model exactly.
         use crate::rng::SplitMix64;
         fn model_pop(model: &mut Vec<(SimTime, u64, u64)>) -> Option<(SimTime, u64)> {
             let (i, _) = model
@@ -568,6 +729,8 @@ mod tests {
             let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
             let mut rng = SplitMix64::new(seed);
             let mut base = 0u64;
+            let mut lane_last = [0u64; 4];
+            let (mut lane_pushes, mut lane_ties) = (0u32, 0u32);
             for i in 0..5_000u64 {
                 // Mostly near-future pushes, occasional same-instant
                 // bursts and millisecond-scale outliers.
@@ -576,10 +739,25 @@ mod tests {
                     1..=7 => rng.next_range(2_000),
                     _ => rng.next_range(2_000_000),
                 };
-                let t = SimTime::from_ps(base + dt);
-                q.push(t, i);
+                let t = if rng.chance(1.0 / 3.0) {
+                    // A lane's next arrival: never before its last one
+                    // (nor before the causal floor), often tied with it.
+                    let lane = rng.next_range(4) as usize;
+                    let last = lane_last[lane].max(base);
+                    let t = if rng.chance(0.3) { last } else { last + dt };
+                    lane_ties += u32::from(t == lane_last[lane]);
+                    lane_last[lane] = t;
+                    lane_pushes += 1;
+                    q.push_lane(lane as u32, SimTime::from_ps(t), i);
+                    SimTime::from_ps(t)
+                } else {
+                    let t = SimTime::from_ps(base + dt);
+                    q.push(t, i);
+                    t
+                };
                 // The payload doubles as the push sequence number.
                 model.push((t, i, i));
+                assert_eq!(q.len(), model.len());
                 if rng.chance(0.6) {
                     let got = q.pop();
                     assert_eq!(got, model_pop(&mut model), "diverged (seed {seed})");
@@ -589,6 +767,7 @@ mod tests {
                     }
                 }
             }
+            assert!(lane_pushes > 1_000 && lane_ties > 100, "lanes barely used");
             assert_eq!(q.len(), model.len());
             while let Some(got) = q.pop() {
                 assert_eq!(
@@ -598,7 +777,79 @@ mod tests {
                 );
             }
             assert!(model.is_empty());
+            assert!(q.is_empty());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 3 went back in time")]
+    fn lane_time_going_backwards_panics() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.push_lane(3, SimTime::from_ns(10), 1);
+        q.push_lane(3, SimTime::from_ns(9), 2);
+    }
+
+    #[test]
+    fn lane_may_restart_earlier_once_drained() {
+        // Monotonicity binds only entries still queued on the lane.
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.push_lane(0, SimTime::from_ns(10), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(10), 1)));
+        q.push_lane(0, SimTime::from_ns(4), 2);
+        q.push_lane(1, SimTime::from_ns(4), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(4), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(4), 3)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn lane_entries_count_as_pending() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        assert!(q.is_empty());
+        q.push_lane(5, SimTime::from_ns(1), 0);
+        assert!(!q.is_empty());
+        q.push_lane(5, SimTime::from_ns(2), 1);
+        q.push_lane(5, SimTime::from_ns(2), 2);
+        q.push(SimTime::from_ns(3), 3);
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(1), 0)));
+        assert_eq!(q.len(), 3);
+
+        // A stalled run reports the events still queued on its lanes.
+        let mut engine: Engine<u32> = Engine::new();
+        engine.schedule(SimTime::ZERO, 0);
+        let guard = Liveness {
+            max_events: Some(1),
+            max_stagnant_events: None,
+        };
+        let err = engine
+            .run(guard, |now, _, sched| {
+                for i in 0..7 {
+                    sched.schedule_lane(0, now + SimTime::from_ns(i), i as u32);
+                }
+                sched.schedule_now(99);
+            })
+            .unwrap_err();
+        assert_eq!(err.cause, StallCause::EventBudget);
+        assert_eq!(err.pending, 8);
+        assert_eq!(engine.pending(), 8);
+    }
+
+    #[test]
+    fn lane_slab_reuses_freed_nodes() {
+        // A lane that is drained and refilled keeps its slab at the peak
+        // depth instead of growing with the total pushed.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for round in 0..100u64 {
+            for i in 0..8 {
+                q.push_lane(round as u32 % 3, SimTime::from_ns(round * 10 + i), i as u32);
+            }
+            for i in 0..8 {
+                assert_eq!(q.pop(), Some((SimTime::from_ns(round * 10 + i), i as u32)));
+            }
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.slab.len(), 8);
     }
 
     #[test]
@@ -650,33 +901,5 @@ mod tests {
         q.push(SimTime::from_us(20), 3);
         assert_eq!(q.pop(), Some((SimTime::from_ns(3), 2)));
         assert_eq!(q.pop(), Some((SimTime::from_us(20), 3)));
-    }
-
-    #[test]
-    fn schedule_batch_matches_individual_schedules() {
-        let run = |batched: bool| {
-            let mut q: EventQueue<u8> = EventQueue::new();
-            {
-                let mut sched = Scheduler::at(&mut q, SimTime::from_ns(1));
-                let items = [
-                    (SimTime::from_ns(5), 1),
-                    (SimTime::from_ns(2), 2),
-                    (SimTime::from_ns(5), 3),
-                ];
-                if batched {
-                    sched.schedule_batch(items);
-                } else {
-                    for (t, e) in items {
-                        sched.schedule(t, e);
-                    }
-                }
-            }
-            let mut order = Vec::new();
-            while let Some(x) = q.pop() {
-                order.push(x);
-            }
-            order
-        };
-        assert_eq!(run(true), run(false));
     }
 }

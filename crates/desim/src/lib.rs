@@ -4,9 +4,13 @@
 //! deterministic, allocation-conscious discrete-event kernel in the spirit of
 //! the SST core the paper uses, plus the measurement utilities (counters,
 //! histograms, time series) every other crate reports statistics with.
-//! The kernel is one binary-heap [`EventQueue`] and one run loop,
-//! [`Engine::run`], which [`Liveness`] budgets can bound so that a model
-//! that never terminates comes back as a [`StallReport`] instead of a hang.
+//! The kernel is one [`EventQueue`] and one run loop, [`Engine::run`],
+//! which [`Liveness`] budgets can bound so that a model that never
+//! terminates comes back as a [`StallReport`] instead of a hang. The queue
+//! is a binary heap plus FIFO lanes: a stream of events whose times never
+//! decrease (the arrivals one link produces) waits in its own lane with
+//! only its head in the heap, and pops merge back into exactly the
+//! all-heap `(time, seq)` order.
 //!
 //! The engine is deliberately generic: the event payload type is chosen by
 //! the embedding simulator (see the `netsparse` core crate), and components
