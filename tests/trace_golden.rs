@@ -8,9 +8,11 @@
 //!
 //! Requires `--features trace`.
 
+use netsparse::config::ConcatImpl;
 use netsparse::{simulate_traced, ClusterConfig, Mechanisms, SimReport};
 use netsparse_desim::TraceConfig;
 use netsparse_netsim::Topology;
+use netsparse_snic::vconcat::VirtualCqConfig;
 use netsparse_sparse::suite::SuiteConfig;
 use netsparse_sparse::SuiteMatrix;
 
@@ -48,14 +50,45 @@ const RIG_ONLY_LEN_SEED7: usize = 62_132;
 /// How many events the seed-7 rig-only run processes.
 const RIG_ONLY_EVENTS_SEED7: u64 = 36_334;
 
+/// Digest of the seed-7 golden run with §7.2 virtual CQs from the
+/// paper's 64 × 128 B pool. The pool never runs dry here (224 full and
+/// 474 expired flushes, no pressure), so this pins the order in which
+/// expired virtual CQs drain: ascending `(dest, kind)`. Draining them in
+/// expiry-arming order instead reproduces the dedicated digests above.
+const PAPER_POOL_DIGEST_SEED7: u64 = 0x5b32_a347_8675_290a;
+/// Digest of the seed-11 paper-pool run.
+const PAPER_POOL_DIGEST_SEED11: u64 = 0xd4a6_a610_6515_6e4d;
+/// How many records the seed-7 paper-pool run captures.
+const PAPER_POOL_LEN_SEED7: usize = 12_045;
+/// How many events the seed-7 paper-pool run processes.
+const PAPER_POOL_EVENTS_SEED7: u64 = 1_531;
+
+/// Digest of the seed-7 golden run with an 8 × 256 B pool (the chaos
+/// harness's): 680 pressure flushes, so this pins which virtual CQ the
+/// pool evicts when it runs dry.
+const SMALL_POOL_DIGEST_SEED7: u64 = 0x8e06_57fe_002e_2bac;
+/// Digest of the seed-11 small-pool run (494 pressure flushes).
+const SMALL_POOL_DIGEST_SEED11: u64 = 0x2199_8c6c_05e6_355a;
+/// How many records the seed-7 small-pool run captures.
+const SMALL_POOL_LEN_SEED7: usize = 12_576;
+/// How many events the seed-7 small-pool run processes.
+const SMALL_POOL_EVENTS_SEED7: u64 = 1_607;
+
+/// The chaos harness's virtual-CQ pool.
+const SMALL_POOL: VirtualCqConfig = VirtualCqConfig {
+    physical_queues: 8,
+    physical_bytes: 256,
+};
+
 /// The pinned golden configuration: same cluster and workload shape as
 /// `determinism.rs`, with tracing attached at default capacity.
 fn golden_run(seed: u64) -> SimReport {
-    golden_run_with(seed, Mechanisms::all())
+    golden_run_with(seed, Mechanisms::all(), ConcatImpl::Dedicated)
 }
 
-/// The golden configuration under an explicit mechanism set.
-fn golden_run_with(seed: u64, mechanisms: Mechanisms) -> SimReport {
+/// The golden configuration under an explicit mechanism set and
+/// concatenator implementation.
+fn golden_run_with(seed: u64, mechanisms: Mechanisms, concat_impl: ConcatImpl) -> SimReport {
     let topo = Topology::LeafSpine {
         racks: 2,
         rack_size: 4,
@@ -71,6 +104,7 @@ fn golden_run_with(seed: u64, mechanisms: Mechanisms) -> SimReport {
     .generate();
     let mut cfg = ClusterConfig::mini(topo, 16);
     cfg.mechanisms = mechanisms;
+    cfg.concat_impl = concat_impl;
     simulate_traced(&cfg, &wl, TraceConfig::default())
 }
 
@@ -122,7 +156,7 @@ fn golden_digest_matches_the_committed_constants() {
 
 #[test]
 fn rig_only_digest_matches_the_committed_constants() {
-    let a = golden_run_with(7, Mechanisms::rig_only());
+    let a = golden_run_with(7, Mechanisms::rig_only(), ConcatImpl::Dedicated);
     assert!(a.functional_check_passed);
     assert_eq!(
         a.events, RIG_ONLY_EVENTS_SEED7,
@@ -140,12 +174,56 @@ fn rig_only_digest_matches_the_committed_constants() {
         "rig-only seed-7 trace digest changed: {:#018x}",
         tr.digest
     );
-    let b = golden_run_with(11, Mechanisms::rig_only());
+    let b = golden_run_with(11, Mechanisms::rig_only(), ConcatImpl::Dedicated);
     assert_eq!(
         b.trace.as_ref().unwrap().digest,
         RIG_ONLY_DIGEST_SEED11,
         "rig-only seed-11 trace digest changed: {:#018x}",
         b.trace.as_ref().unwrap().digest
+    );
+}
+
+/// Checks one virtual-CQ pin: the seed-7 event count, record count and
+/// digest, and the seed-11 digest.
+fn assert_virtual_pin(pool: VirtualCqConfig, events: u64, len: usize, seed7: u64, seed11: u64) {
+    let a = golden_run_with(7, Mechanisms::all(), ConcatImpl::Virtual(pool));
+    assert!(a.functional_check_passed);
+    assert_eq!(a.events, events, "{pool:?} seed-7 event count changed");
+    let tr = a.trace.as_ref().unwrap();
+    assert_eq!(tr.buffer.dropped(), 0, "golden runs must not drop");
+    assert_eq!(tr.buffer.len(), len, "{pool:?} seed-7 record count changed");
+    assert_eq!(
+        tr.digest, seed7,
+        "{pool:?} seed-7 trace digest changed: {:#018x}",
+        tr.digest
+    );
+    let b = golden_run_with(11, Mechanisms::all(), ConcatImpl::Virtual(pool));
+    let digest = b.trace.as_ref().unwrap().digest;
+    assert_eq!(
+        digest, seed11,
+        "{pool:?} seed-11 trace digest changed: {digest:#018x}"
+    );
+}
+
+#[test]
+fn paper_pool_digest_matches_the_committed_constants() {
+    assert_virtual_pin(
+        VirtualCqConfig::paper_sketch(),
+        PAPER_POOL_EVENTS_SEED7,
+        PAPER_POOL_LEN_SEED7,
+        PAPER_POOL_DIGEST_SEED7,
+        PAPER_POOL_DIGEST_SEED11,
+    );
+}
+
+#[test]
+fn small_pool_digest_matches_the_committed_constants() {
+    assert_virtual_pin(
+        SMALL_POOL,
+        SMALL_POOL_EVENTS_SEED7,
+        SMALL_POOL_LEN_SEED7,
+        SMALL_POOL_DIGEST_SEED7,
+        SMALL_POOL_DIGEST_SEED11,
     );
 }
 
