@@ -7,7 +7,8 @@ use netsparse_bench::microbench::{black_box, BenchmarkId, Criterion, Throughput}
 use netsparse_bench::{criterion_group, criterion_main};
 
 use netsparse_desim::{EventQueue, SimTime, SplitMix64};
-use netsparse_snic::{ConcatConfig, Concatenator, HeaderSpec, IdxFilter, PendingTable, Pr, PrKind};
+use netsparse_snic::vconcat::VirtualCqConfig;
+use netsparse_snic::{ConcatConfig, ConcatPoint, HeaderSpec, IdxFilter, PendingTable, Pr, PrKind};
 use netsparse_sparse::kernels::{spmm, synthetic_properties};
 use netsparse_sparse::suite::SuiteConfig;
 use netsparse_sparse::SuiteMatrix;
@@ -117,6 +118,29 @@ fn bench_pending_table(c: &mut Criterion) {
     g.finish();
 }
 
+/// 100k read PRs to random destinations through `con`, one every 455 ps,
+/// with an expiry flush every 64 pushes and a final drain. Returns the
+/// packets sealed.
+fn push_flush_100k(mut con: ConcatPoint) -> u64 {
+    let mut rng = SplitMix64::new(5);
+    let mut emitted = 0u64;
+    for i in 0..100_000u32 {
+        let t = SimTime::from_ps(u64::from(i) * 455);
+        let dest = rng.next_range(127) as u32;
+        let pr = Pr {
+            src_node: 0,
+            src_tid: 0,
+            idx: i,
+            req_id: i,
+        };
+        con.push_with(t, dest, PrKind::Read, pr, 0, |_| emitted += 1);
+        if i % 64 == 0 {
+            con.flush_expired_with(t, |_| emitted += 1);
+        }
+    }
+    emitted + con.flush_all().len() as u64
+}
+
 fn bench_concatenator(c: &mut Criterion) {
     let cfg = ConcatConfig {
         headers: HeaderSpec::paper(),
@@ -127,28 +151,12 @@ fn bench_concatenator(c: &mut Criterion) {
     let mut g = c.benchmark_group("concatenator");
     g.throughput(Throughput::Elements(100_000));
     g.bench_function("push_flush_100k", |b| {
+        b.iter(|| black_box(push_flush_100k(ConcatPoint::dedicated(cfg))))
+    });
+    g.bench_function("virtual_push_flush_100k", |b| {
         b.iter(|| {
-            let mut con = Concatenator::new(cfg);
-            let mut rng = SplitMix64::new(5);
-            let mut emitted = 0u64;
-            for i in 0..100_000u32 {
-                let t = SimTime::from_ps(u64::from(i) * 455);
-                let dest = rng.next_range(127) as u32;
-                let pr = Pr {
-                    src_node: 0,
-                    src_tid: 0,
-                    idx: i,
-                    req_id: i,
-                };
-                if con.push(t, dest, PrKind::Read, pr, 0).is_some() {
-                    emitted += 1;
-                }
-                if i % 64 == 0 {
-                    con.flush_expired_with(t, |_| emitted += 1);
-                }
-            }
-            emitted += con.flush_all().len() as u64;
-            black_box(emitted)
+            let pool = VirtualCqConfig::paper_sketch();
+            black_box(push_flush_100k(ConcatPoint::virtualized(cfg, pool)))
         })
     });
     g.finish();

@@ -767,6 +767,20 @@ impl ClusterConfig {
                 what: "reduce.table_entries",
             });
         }
+        if let ConcatImpl::Virtual(pool) = self.concat_impl {
+            // `ConcatPoint::virtualized` asserts on these; reject them here
+            // so `try_simulate` returns an error instead of panicking.
+            if pool.physical_queues == 0 {
+                return Err(ConfigError::DegenerateCluster {
+                    what: "concat_impl.physical_queues",
+                });
+            }
+            if pool.physical_bytes == 0 || pool.physical_bytes > self.snic.mtu {
+                return Err(ConfigError::DegenerateCluster {
+                    what: "concat_impl.physical_bytes",
+                });
+            }
+        }
         self.faults.validate_against(&self.topology)
     }
 

@@ -1,6 +1,7 @@
-//! The PR Concatenator: per-destination delay queues (paper §6.1.2).
+//! The PR Concatenator: per-destination delay queues (paper §6.1.2), with
+//! the §7.2 physical-CQ pool as an optional policy on the same core.
 //!
-//! A Concatenation Point (in an SNIC or a ToR switch) keeps one MTU-sized
+//! A Concatenation Point (in an SNIC or a ToR switch) keeps one
 //! **Concatenation Queue** (CQ) per `(destination, PR type)` pair. An
 //! arriving PR is pushed into its CQ; the CQ's contents are emitted as a
 //! single packet when either
@@ -17,17 +18,28 @@
 //! is a small min-heap — same semantics, robust to out-of-order pushes.
 //! Entries are invalidated by a generation counter when their CQ flushes
 //! early (the paper's "EQ index" metadata).
+//!
+//! The two designs differ only in where a CQ's bytes come from. A
+//! dedicated point ([`ConcatPoint::dedicated`]) gives every CQ its own MTU
+//! of SRAM. A virtualized point ([`ConcatPoint::virtualized`], §7.2, see
+//! [`crate::vconcat`]) links sub-MTU physical CQs from a fixed pool into
+//! each CQ on demand; when the pool runs dry, the least recently touched
+//! other CQ is flushed early to free its physical CQs, and a PR larger
+//! than the whole pool bypasses the queues. Expired virtual CQs drain in
+//! ascending `(dest, kind)` order rather than in EQ order; the virtual-CQ
+//! golden traces pin that order, so changing it changes every §7.2
+//! simulation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use netsparse_desim::{Histogram, SimTime};
-
 use netsparse_desim::trace::FlushReason;
 #[cfg(feature = "trace")]
 use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
+use netsparse_desim::{Histogram, SimTime};
 
 use crate::protocol::{HeaderSpec, Pr, PrKind, PR_KINDS};
+use crate::vconcat::VirtualCqConfig;
 
 /// Configuration of one concatenation point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,17 +127,46 @@ const SPARE_CAP: usize = 64;
 struct EqEntry {
     expires: SimTime,
     seq: u64,
-    dest: u32,
-    kind: PrKind,
+    slot: usize,
     generation: u64,
 }
 
-/// A concatenation point: CQs plus the expiration queue.
+/// A virtual CQ's claim on the §7.2 pool.
+#[derive(Debug, Clone, Copy, Default)]
+struct Share {
+    /// Physical CQs linked into this virtual CQ.
+    physical: usize,
+    /// When a PR last entered it (unique per push, for LRU eviction).
+    last_touch: u64,
+}
+
+/// The §7.2 physical-CQ pool, kept apart from the CQ slab so a dedicated
+/// point's CQs carry none of it.
+#[derive(Debug)]
+struct Pool {
+    cfg: VirtualCqConfig,
+    free: usize,
+    touch: u64,
+    /// Per slab slot, parallel to the CQs.
+    shares: Vec<Share>,
+}
+
+/// A concatenation point: CQs plus the expiration queue, optionally backed
+/// by a §7.2 physical-CQ pool.
+///
+/// CQ storage is a dense slab indexed by `dest * PR_KINDS + kind` (the
+/// id-space contract: destinations are dense node ids assigned by the
+/// cluster, so the slab is at most `PR_KINDS * nodes` small structs).
+/// Slot order is destination ascending, [`PrKind::Read`] before
+/// [`PrKind::Response`] before [`PrKind::Partial`]; drains follow it.
+/// Emptied PR buffers rotate through a spare pool
+/// ([`ConcatPoint::recycle`]) instead of being reallocated per packet.
 ///
 /// # Example
 ///
 /// ```
-/// use netsparse_snic::{ConcatConfig, Concatenator, HeaderSpec, Pr, PrKind};
+/// use netsparse_snic::vconcat::VirtualCqConfig;
+/// use netsparse_snic::{ConcatConfig, ConcatPoint, HeaderSpec, Pr, PrKind};
 /// use netsparse_desim::SimTime;
 ///
 /// let cfg = ConcatConfig {
@@ -134,78 +175,98 @@ struct EqEntry {
 ///     delay: SimTime::from_ns(200),
 ///     enabled: true,
 /// };
-/// let mut c = Concatenator::new(cfg);
 /// let pr = |i| Pr { src_node: 0, src_tid: 0, idx: i, req_id: i };
 /// let t0 = SimTime::ZERO;
-/// assert!(c.push(t0, 7, PrKind::Read, pr(1), 0).is_none()); // waits
-/// assert!(c.push(t0, 7, PrKind::Read, pr(2), 0).is_none()); // same CQ
-/// // Nothing expired yet...
-/// assert!(c.flush_expired(t0).is_empty());
-/// // ...but 200 ns later the CQ expires as one 2-PR packet.
-/// let pkts = c.flush_expired(SimTime::from_ns(200));
-/// assert_eq!(pkts.len(), 1);
-/// assert_eq!(pkts[0].prs.len(), 2);
+/// for mut c in [
+///     ConcatPoint::dedicated(cfg),
+///     ConcatPoint::virtualized(cfg, VirtualCqConfig::paper_sketch()),
+/// ] {
+///     assert!(c.push(t0, 7, PrKind::Read, pr(1), 0).is_empty()); // waits
+///     assert!(c.push(t0, 7, PrKind::Read, pr(2), 0).is_empty()); // same CQ
+///     // Nothing expired yet...
+///     assert!(c.flush_expired(t0).is_empty());
+///     // ...but 200 ns later the CQ expires as one 2-PR packet.
+///     let pkts = c.flush_expired(SimTime::from_ns(200));
+///     assert_eq!(pkts.len(), 1);
+///     assert_eq!(pkts[0].prs.len(), 2);
+/// }
 /// ```
-/// CQ storage is a dense slab indexed by `dest * PR_KINDS + kind` (the
-/// id-space contract: destinations are dense node ids assigned by the
-/// cluster, so the slab is at most `PR_KINDS * nodes` small structs).
-/// Slot order equals the former `BTreeMap<(u32, PrKind), Cq>` iteration
-/// order — destination ascending, [`PrKind::Read`] before
-/// [`PrKind::Response`] before [`PrKind::Partial`] — so drain order (and
-/// with it every committed digest) is unchanged for runs without Partial
-/// traffic. Emptied PR buffers rotate through a spare pool
-/// ([`Concatenator::recycle`]) instead of being reallocated per packet.
 #[derive(Debug)]
-pub struct Concatenator {
+pub struct ConcatPoint {
     cfg: ConcatConfig,
     queues: Vec<Cq>,
     spare: Vec<Vec<Pr>>,
     eq: BinaryHeap<Reverse<EqEntry>>,
     eq_seq: u64,
+    /// Scratch for the slots one expiry flush seals, reused across calls.
+    expired: Vec<usize>,
+    pool: Option<Pool>,
     prs_per_packet: Histogram,
-    packets: u64,
     #[cfg(feature = "trace")]
     tracer: Option<(Tracer, TrackId)>,
 }
 
-impl Concatenator {
-    /// Creates an empty concatenation point.
-    pub fn new(cfg: ConcatConfig) -> Self {
-        Concatenator {
+/// The slab slot of a `(dest, kind)` CQ: destinations are dense ids, so
+/// each gets [`PR_KINDS`] adjacent slots (read, response, partial).
+#[inline]
+fn slot(dest: u32, kind: PrKind) -> usize {
+    dest as usize * PR_KINDS + kind as usize
+}
+
+/// The `(dest, kind)` a slab slot holds.
+#[inline]
+fn unslot(slot: usize) -> (u32, PrKind) {
+    let kind = match slot % PR_KINDS {
+        0 => PrKind::Read,
+        1 => PrKind::Response,
+        _ => PrKind::Partial,
+    };
+    ((slot / PR_KINDS) as u32, kind)
+}
+
+impl ConcatPoint {
+    /// An empty point with one MTU-sized CQ per `(destination, type)`
+    /// pair (§6.1.2).
+    #[must_use]
+    pub fn dedicated(cfg: ConcatConfig) -> Self {
+        Self::new(cfg, None)
+    }
+
+    /// An empty point whose CQs draw sub-MTU physical CQs from `pool`
+    /// (§7.2), all of them free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool is empty or a physical CQ is larger than the MTU.
+    #[must_use]
+    pub fn virtualized(cfg: ConcatConfig, pool: VirtualCqConfig) -> Self {
+        assert!(pool.physical_queues > 0, "pool needs at least one CQ");
+        assert!(
+            pool.physical_bytes > 0 && pool.physical_bytes <= cfg.mtu,
+            "physical CQs must be sub-MTU"
+        );
+        Self::new(cfg, Some(pool))
+    }
+
+    fn new(cfg: ConcatConfig, pool: Option<VirtualCqConfig>) -> Self {
+        let pool = pool.map(|pool| Pool {
+            cfg: pool,
+            free: pool.physical_queues,
+            touch: 0,
+            shares: Vec::new(),
+        });
+        ConcatPoint {
             cfg,
             queues: Vec::new(),
             spare: Vec::new(),
             eq: BinaryHeap::new(),
             eq_seq: 0,
+            expired: Vec::new(),
+            pool,
             prs_per_packet: Histogram::new(),
-            packets: 0,
             #[cfg(feature = "trace")]
             tracer: None,
         }
-    }
-
-    /// The slab slot of a `(dest, kind)` CQ: destinations are dense ids,
-    /// so each gets [`PR_KINDS`] adjacent slots (read, response, partial).
-    #[inline]
-    fn slot(dest: u32, kind: PrKind) -> usize {
-        dest as usize * PR_KINDS + kind as usize
-    }
-
-    /// The `(dest, kind)` a slab slot holds.
-    #[inline]
-    fn unslot(slot: usize) -> (u32, PrKind) {
-        let kind = match slot % PR_KINDS {
-            0 => PrKind::Read,
-            1 => PrKind::Response,
-            _ => PrKind::Partial,
-        };
-        ((slot / PR_KINDS) as u32, kind)
-    }
-
-    /// Pops a pooled PR buffer, or a fresh one when the pool is dry.
-    #[inline]
-    fn take_spare(&mut self) -> Vec<Pr> {
-        self.spare.pop().unwrap_or_default()
     }
 
     /// Donates an emptied PR buffer (a consumed packet's `prs`) back to
@@ -225,13 +286,10 @@ impl Concatenator {
         self.tracer = Some((tracer, track));
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ConcatConfig {
-        &self.cfg
-    }
-
-    /// Pushes a PR bound for `dest`. Returns a packet if this push caused
-    /// an (MTU-full) emission; otherwise the PR waits in its CQ.
+    /// Pushes a PR bound for `dest`, handing every packet the push seals
+    /// to `sink`: the CQ's own MTU-full emission and, on a virtualized
+    /// point, CQs flushed under pool pressure. This is the zero-allocation
+    /// event-path entry point.
     ///
     /// `payload_bytes` is the property payload this PR will carry (0 for
     /// read PRs); all PRs in one CQ must carry equal payloads (the
@@ -241,6 +299,74 @@ impl Concatenator {
     ///
     /// Panics if `payload_bytes` differs from PRs already queued for the
     /// same `(dest, kind)`.
+    pub fn push_with(
+        &mut self,
+        now: SimTime,
+        dest: u32,
+        kind: PrKind,
+        pr: Pr,
+        payload_bytes: u32,
+        mut sink: impl FnMut(ConcatPacket),
+    ) {
+        let pr_bytes = self.cfg.headers.pr + payload_bytes;
+        // A PR the whole pool cannot hold can never concatenate (a
+        // dedicated CQ always admits one: `prs_per_mtu` is at least 1).
+        let oversized = self
+            .pool
+            .as_ref()
+            .is_some_and(|pool| pr_bytes as u64 > pool.cfg.sram_bytes());
+        if !self.cfg.enabled || oversized {
+            let mut prs = self.spare.pop().unwrap_or_default();
+            prs.push(pr);
+            sink(self.emit(dest, kind, prs, payload_bytes, FlushReason::Bypass));
+            return;
+        }
+        let slot = slot(dest, kind);
+        if slot >= self.queues.len() {
+            // First PR for this destination: grow the slab (amortized
+            // once per destination over the whole run, then reused).
+            self.queues.resize_with(slot + 1, Cq::default);
+            if let Some(pool) = &mut self.pool {
+                pool.shares.resize(slot + 1, Share::default());
+            }
+        }
+        let max_prs = self.cfg.headers.prs_per_mtu(self.cfg.mtu, payload_bytes);
+        let cq = &self.queues[slot];
+        if !cq.prs.is_empty() {
+            assert_eq!(
+                cq.payload_per_pr, payload_bytes,
+                "mixed payload sizes in one concatenation queue"
+            );
+        }
+        // Flush first if this PR does not fit.
+        if cq.prs.len() as u32 >= max_prs {
+            if let Some(p) = self.flush_slot(slot, FlushReason::Full) {
+                sink(p);
+            }
+        }
+        self.claim_physical(slot, pr_bytes, &mut sink);
+        let cq = &mut self.queues[slot];
+        if cq.prs.is_empty() {
+            // First PR of a (new) CQ: arm its expiration. A dedicated CQ
+            // owns a full MTU, so size its buffer for one up front (no
+            // doubling reallocs mid-fill); a virtual CQ's grows as needed.
+            if self.pool.is_none() {
+                cq.prs.reserve(max_prs as usize);
+            }
+            self.eq.push(Reverse(EqEntry {
+                expires: now + self.cfg.delay,
+                seq: self.eq_seq,
+                slot,
+                generation: cq.generation,
+            }));
+            self.eq_seq += 1;
+        }
+        cq.prs.push(pr);
+        cq.payload_per_pr = payload_bytes;
+    }
+
+    /// Pushes a PR; returns every packet the push sealed (see
+    /// [`ConcatPoint::push_with`]).
     pub fn push(
         &mut self,
         now: SimTime,
@@ -248,76 +374,58 @@ impl Concatenator {
         kind: PrKind,
         pr: Pr,
         payload_bytes: u32,
-    ) -> Option<ConcatPacket> {
-        if !self.cfg.enabled {
-            let mut prs = self.take_spare();
-            prs.push(pr);
-            return Some(self.emit(dest, kind, prs, payload_bytes, FlushReason::Bypass));
-        }
-        let max_prs = self.cfg.headers.prs_per_mtu(self.cfg.mtu, payload_bytes);
-        let delay = self.cfg.delay;
-        let slot = Self::slot(dest, kind);
-        if slot >= self.queues.len() {
-            // First PR for this destination: grow the slab (amortized
-            // once per destination over the whole run, then reused).
-            self.queues.resize_with(slot + 1, Cq::default);
-        }
-        let Concatenator {
-            queues,
-            spare,
-            eq,
-            eq_seq,
-            ..
-        } = self;
-        let cq = &mut queues[slot];
-        if !cq.prs.is_empty() {
-            assert_eq!(
-                cq.payload_per_pr, payload_bytes,
-                "mixed payload sizes in one concatenation queue"
-            );
-        } else {
-            cq.payload_per_pr = payload_bytes;
-        }
+    ) -> Vec<ConcatPacket> {
+        let mut out = Vec::new(); // simaudit:allow(no-hot-alloc): convenience wrapper for tests and doctests; the event path uses push_with
+        self.push_with(now, dest, kind, pr, payload_bytes, |p| out.push(p));
+        out
+    }
 
-        // Flush first if this PR does not fit.
-        let flushed = if cq.prs.len() as u32 >= max_prs {
-            let prs = std::mem::replace(&mut cq.prs, spare.pop().unwrap_or_default());
-            let payload = cq.payload_per_pr;
-            cq.generation += 1;
-            Some((prs, payload))
-        } else {
-            None
-        };
-
-        if cq.prs.is_empty() {
-            // First PR of a (new) CQ: size the buffer for a full packet up
-            // front (no doubling reallocs mid-fill) and arm its expiration.
-            cq.prs.reserve(max_prs as usize);
-            let seq = *eq_seq;
-            *eq_seq += 1;
-            eq.push(Reverse(EqEntry {
-                expires: now + delay,
-                seq,
-                dest,
-                kind,
-                generation: cq.generation,
-            }));
+    /// The §7.2 policy (a no-op on a dedicated point): link physical CQs
+    /// into the CQ at `slot` until it can hold one more PR of `pr_bytes`.
+    /// When the pool is dry, flush the least recently touched other CQ
+    /// (touches are unique, so the choice does not depend on scan order),
+    /// or this one if no other holds any.
+    fn claim_physical(&mut self, slot: usize, pr_bytes: u32, sink: &mut impl FnMut(ConcatPacket)) {
+        loop {
+            let Some(pool) = &mut self.pool else { return };
+            // Every PR in a CQ carries the same payload (asserted on push).
+            let needed = (self.queues[slot].prs.len() as u64 + 1) * pr_bytes as u64;
+            let share = &mut pool.shares[slot];
+            if needed <= share.physical as u64 * pool.cfg.physical_bytes as u64 {
+                pool.touch += 1;
+                share.last_touch = pool.touch;
+                return;
+            }
+            if pool.free > 0 {
+                pool.free -= 1;
+                share.physical += 1;
+                continue;
+            }
+            let victim = pool
+                .shares
+                .iter()
+                .zip(&self.queues)
+                .enumerate()
+                .filter(|&(s, (_, cq))| s != slot && !cq.prs.is_empty())
+                .min_by_key(|(_, (share, _))| share.last_touch)
+                .map_or(slot, |(s, _)| s);
+            if let Some(p) = self.flush_slot(victim, FlushReason::Pressure) {
+                sink(p);
+            }
         }
-        cq.prs.push(pr);
-        cq.payload_per_pr = payload_bytes;
+    }
 
-        flushed.map(|(prs, payload)| self.emit(dest, kind, prs, payload, FlushReason::Full))
+    /// Whether `e` still describes its CQ's current contents.
+    fn live(&self, e: &EqEntry) -> bool {
+        let cq = &self.queues[e.slot];
+        cq.generation == e.generation && !cq.prs.is_empty()
     }
 
     /// The earliest pending expiration, if any (stale entries are
     /// discarded on the way).
     pub fn next_expiry(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(head)) = self.eq.peek() {
-            let live = self
-                .queues
-                .get(Self::slot(head.dest, head.kind))
-                .is_some_and(|cq| cq.generation == head.generation && !cq.prs.is_empty());
-            if live {
+        while let Some(&Reverse(head)) = self.eq.peek() {
+            if self.live(&head) {
                 return Some(head.expires);
             }
             self.eq.pop();
@@ -326,30 +434,30 @@ impl Concatenator {
     }
 
     /// Flushes every CQ whose expiration time has passed, handing each
-    /// emitted packet to `sink`. This is the event-path entry point: the
-    /// caller owns the output buffer, so the flush itself allocates
-    /// nothing.
+    /// emitted packet to `sink`: in expiry order on a dedicated point, in
+    /// ascending `(dest, kind)` order on a virtualized one. This is the
+    /// event-path entry point: the caller owns the output buffer, so the
+    /// flush itself allocates nothing.
     pub fn flush_expired_with(&mut self, now: SimTime, mut sink: impl FnMut(ConcatPacket)) {
+        let mut expired = std::mem::take(&mut self.expired);
         while let Some(&Reverse(head)) = self.eq.peek() {
             if head.expires > now {
                 break;
             }
             self.eq.pop();
-            let slot = Self::slot(head.dest, head.kind);
-            let Concatenator { queues, spare, .. } = &mut *self;
-            let flushed = match queues.get_mut(slot) {
-                Some(cq) if cq.generation == head.generation && !cq.prs.is_empty() => {
-                    let prs = std::mem::replace(&mut cq.prs, spare.pop().unwrap_or_default());
-                    let payload = cq.payload_per_pr;
-                    cq.generation += 1;
-                    Some((prs, payload))
-                }
-                _ => None,
-            };
-            if let Some((prs, payload)) = flushed {
-                sink(self.emit(head.dest, head.kind, prs, payload, FlushReason::Expired));
+            if self.live(&head) {
+                expired.push(head.slot);
             }
         }
+        if self.pool.is_some() {
+            expired.sort_unstable();
+        }
+        for slot in expired.drain(..) {
+            if let Some(p) = self.flush_slot(slot, FlushReason::Expired) {
+                sink(p);
+            }
+        }
+        self.expired = expired;
     }
 
     /// Flushes every CQ whose expiration time has passed.
@@ -360,45 +468,49 @@ impl Concatenator {
     }
 
     /// Flushes every non-empty CQ regardless of expiry (drain at kernel
-    /// end), handing each emitted packet to `sink` in slot order — the
-    /// same (destination, kind) order the former map-keyed storage
-    /// drained in.
-    pub fn flush_all_with(&mut self, mut sink: impl FnMut(ConcatPacket)) {
-        for slot in 0..self.queues.len() {
-            let Concatenator { queues, spare, .. } = &mut *self;
-            let cq = &mut queues[slot];
-            if cq.prs.is_empty() {
-                continue;
-            }
-            let prs = std::mem::replace(&mut cq.prs, spare.pop().unwrap_or_default());
-            let payload = cq.payload_per_pr;
-            cq.generation += 1;
-            let (dest, kind) = Self::unslot(slot);
-            sink(self.emit(dest, kind, prs, payload, FlushReason::Drained));
-        }
-    }
-
-    /// Flushes every non-empty CQ regardless of expiry (drain at kernel
-    /// end).
+    /// end), in slot order.
     pub fn flush_all(&mut self) -> Vec<ConcatPacket> {
-        let mut out = Vec::new(); // simaudit:allow(no-hot-alloc): convenience wrapper for tests and doctests; the event path uses flush_all_with
-        self.flush_all_with(|p| out.push(p));
+        let mut out = Vec::new(); // simaudit:allow(no-hot-alloc): drain helper for tests and doctests, not on the event path
+        for slot in 0..self.queues.len() {
+            out.extend(self.flush_slot(slot, FlushReason::Drained));
+        }
         out
     }
 
-    /// Total PRs currently waiting across all CQs.
+    /// Total PRs currently waiting across all CQs (must be zero once a
+    /// run drains; checked by the runtime auditor).
+    #[must_use]
     pub fn queued_prs(&self) -> usize {
         self.queues.iter().map(|cq| cq.prs.len()).sum()
     }
 
-    /// Packets emitted so far.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
     /// Distribution of PRs per emitted packet.
+    #[must_use]
     pub fn prs_per_packet(&self) -> &Histogram {
         &self.prs_per_packet
+    }
+
+    /// Physical CQs currently unassigned (`None` on a dedicated point).
+    #[must_use]
+    pub fn free_physical(&self) -> Option<usize> {
+        self.pool.as_ref().map(|pool| pool.free)
+    }
+
+    /// Seals the CQ at `slot` if it holds any PR, returning its physical
+    /// CQs to the pool and invalidating its EQ entry.
+    fn flush_slot(&mut self, slot: usize, reason: FlushReason) -> Option<ConcatPacket> {
+        let cq = &mut self.queues[slot];
+        if cq.prs.is_empty() {
+            return None;
+        }
+        let prs = std::mem::replace(&mut cq.prs, self.spare.pop().unwrap_or_default());
+        let payload = cq.payload_per_pr;
+        cq.generation += 1;
+        if let Some(pool) = &mut self.pool {
+            pool.free += std::mem::take(&mut pool.shares[slot].physical);
+        }
+        let (dest, kind) = unslot(slot);
+        Some(self.emit(dest, kind, prs, payload, reason))
     }
 
     fn emit(
@@ -412,7 +524,6 @@ impl Concatenator {
         debug_assert!(!prs.is_empty());
         let wire_bytes = self.cfg.headers.packet_bytes(prs.len() as u32, payload);
         self.prs_per_packet.record(prs.len() as u64);
-        self.packets += 1;
         #[cfg(feature = "trace")]
         if let Some((tracer, track)) = &self.tracer {
             tracer.record(
@@ -450,6 +561,15 @@ mod tests {
         }
     }
 
+    /// Both designs over `cfg`; the virtual pool is ample, so it never
+    /// runs dry in these cases.
+    fn points(cfg: ConcatConfig) -> [ConcatPoint; 2] {
+        [
+            ConcatPoint::dedicated(cfg),
+            ConcatPoint::virtualized(cfg, VirtualCqConfig::paper_sketch()),
+        ]
+    }
+
     fn pr(idx: u32) -> Pr {
         Pr {
             src_node: 1,
@@ -461,100 +581,116 @@ mod tests {
 
     #[test]
     fn disabled_mode_emits_singletons() {
-        let mut c = Concatenator::new(ConcatConfig::disabled(HeaderSpec::paper()));
-        let p = c.push(SimTime::ZERO, 5, PrKind::Read, pr(1), 0).unwrap();
-        assert_eq!(p.prs.len(), 1);
-        assert_eq!(p.wire_bytes, 80);
-        assert_eq!(c.queued_prs(), 0);
+        for mut c in points(ConcatConfig::disabled(HeaderSpec::paper())) {
+            let out = c.push(SimTime::ZERO, 5, PrKind::Read, pr(1), 0);
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].prs.len(), 1);
+            assert_eq!(out[0].wire_bytes, 80);
+            assert_eq!(c.queued_prs(), 0);
+            assert_eq!(c.next_expiry(), None);
+        }
     }
 
     #[test]
     fn mtu_full_flushes() {
-        let mut c = Concatenator::new(cfg(1_000_000));
-        // Read PRs (payload 0): (1500 - 62) / 18 = 79 PRs per MTU.
-        let cap = HeaderSpec::paper().prs_per_mtu(1_500, 0);
-        let mut flushed = None;
-        for i in 0..=cap {
-            if let Some(p) = c.push(SimTime::ZERO, 2, PrKind::Read, pr(i), 0) {
-                flushed = Some((i, p));
+        for mut c in points(cfg(1_000_000)) {
+            // Read PRs (payload 0): (1500 - 62) / 18 = 79 PRs per MTU.
+            let cap = HeaderSpec::paper().prs_per_mtu(1_500, 0);
+            let mut flushed = None;
+            for i in 0..=cap {
+                let out = c.push(SimTime::ZERO, 2, PrKind::Read, pr(i), 0);
+                if let Some(p) = out.into_iter().next() {
+                    flushed = Some((i, p));
+                }
             }
+            let (at, p) = flushed.expect("must flush when MTU exceeded");
+            assert_eq!(at, cap);
+            assert_eq!(p.prs.len(), cap as usize);
+            assert!(p.wire_bytes <= 1_500);
+            // The overflowing PR starts a fresh CQ.
+            assert_eq!(c.queued_prs(), 1);
         }
-        let (at, p) = flushed.expect("must flush when MTU exceeded");
-        assert_eq!(at, cap);
-        assert_eq!(p.prs.len(), cap as usize);
-        assert!(p.wire_bytes <= 1_500);
-        // The overflowing PR starts a fresh CQ.
-        assert_eq!(c.queued_prs(), 1);
     }
 
     #[test]
     fn expiry_uses_first_pr_entry_time() {
-        let mut c = Concatenator::new(cfg(100));
-        c.push(SimTime::from_ns(10), 3, PrKind::Read, pr(1), 0);
-        c.push(SimTime::from_ns(90), 3, PrKind::Read, pr(2), 0);
-        assert_eq!(c.next_expiry(), Some(SimTime::from_ns(110)));
-        assert!(c.flush_expired(SimTime::from_ns(109)).is_empty());
-        let pkts = c.flush_expired(SimTime::from_ns(110));
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].prs.len(), 2);
-        assert_eq!(c.next_expiry(), None);
+        for mut c in points(cfg(100)) {
+            c.push(SimTime::from_ns(10), 3, PrKind::Read, pr(1), 0);
+            c.push(SimTime::from_ns(90), 3, PrKind::Read, pr(2), 0);
+            assert_eq!(c.next_expiry(), Some(SimTime::from_ns(110)));
+            assert!(c.flush_expired(SimTime::from_ns(109)).is_empty());
+            let pkts = c.flush_expired(SimTime::from_ns(110));
+            assert_eq!(pkts.len(), 1);
+            assert_eq!(pkts[0].prs.len(), 2);
+            assert_eq!(c.next_expiry(), None);
+            assert_eq!(c.prs_per_packet().count(), 1);
+        }
     }
 
     #[test]
     fn different_destinations_do_not_mix() {
-        let mut c = Concatenator::new(cfg(50));
-        c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0);
-        c.push(SimTime::ZERO, 2, PrKind::Read, pr(2), 0);
-        let pkts = c.flush_expired(SimTime::from_ns(50));
-        assert_eq!(pkts.len(), 2);
-        assert!(pkts.iter().all(|p| p.prs.len() == 1));
+        for mut c in points(cfg(50)) {
+            c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0);
+            c.push(SimTime::ZERO, 2, PrKind::Read, pr(2), 0);
+            let pkts = c.flush_expired(SimTime::from_ns(50));
+            assert_eq!(pkts.len(), 2);
+            assert!(pkts.iter().all(|p| p.prs.len() == 1));
+        }
     }
 
     #[test]
     fn reads_and_responses_do_not_mix() {
-        let mut c = Concatenator::new(cfg(50));
-        c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0);
-        c.push(SimTime::ZERO, 1, PrKind::Response, pr(2), 64);
-        let pkts = c.flush_expired(SimTime::from_ns(50));
-        assert_eq!(pkts.len(), 2);
-        let kinds: Vec<_> = pkts.iter().map(|p| p.kind).collect();
-        assert!(kinds.contains(&PrKind::Read) && kinds.contains(&PrKind::Response));
+        for mut c in points(cfg(50)) {
+            c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0);
+            c.push(SimTime::ZERO, 1, PrKind::Response, pr(2), 64);
+            let pkts = c.flush_expired(SimTime::from_ns(50));
+            assert_eq!(pkts.len(), 2);
+            let kinds: Vec<_> = pkts.iter().map(|p| p.kind).collect();
+            assert!(kinds.contains(&PrKind::Read) && kinds.contains(&PrKind::Response));
+        }
     }
 
     #[test]
     fn early_flush_invalidates_eq_entry() {
-        let mut c = Concatenator::new(cfg(1_000));
-        let cap = HeaderSpec::paper().prs_per_mtu(1_500, 0);
-        for i in 0..=cap {
-            c.push(SimTime::ZERO, 4, PrKind::Read, pr(i), 0);
+        for mut c in points(cfg(1_000)) {
+            let cap = HeaderSpec::paper().prs_per_mtu(1_500, 0);
+            for i in 0..=cap {
+                c.push(SimTime::ZERO, 4, PrKind::Read, pr(i), 0);
+            }
+            // The original CQ flushed early; its EQ entry must not
+            // re-flush. The overflow PR re-armed a fresh entry at the same
+            // expiry time.
+            let pkts = c.flush_expired(SimTime::from_us(10));
+            assert_eq!(pkts.len(), 1);
+            assert_eq!(pkts[0].prs.len(), 1);
         }
-        // The original CQ flushed early; its EQ entry must not re-flush.
-        // The overflow PR re-armed a fresh entry at the same expiry time.
-        let pkts = c.flush_expired(SimTime::from_us(10));
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].prs.len(), 1);
     }
 
     #[test]
     fn flush_all_drains_everything() {
-        let mut c = Concatenator::new(cfg(1_000));
-        c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0);
-        c.push(SimTime::ZERO, 2, PrKind::Response, pr(2), 4);
-        let pkts = c.flush_all();
-        assert_eq!(pkts.len(), 2);
-        assert_eq!(c.queued_prs(), 0);
-        assert_eq!(c.packets(), 2);
+        for mut c in points(cfg(1_000)) {
+            c.push(SimTime::ZERO, 2, PrKind::Response, pr(2), 4);
+            c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0);
+            let pkts = c.flush_all();
+            // Slot order: destination ascending.
+            let dests: Vec<u32> = pkts.iter().map(|p| p.dest).collect();
+            assert_eq!(dests, [1, 2]);
+            assert_eq!(c.queued_prs(), 0);
+            assert_eq!(c.prs_per_packet().count(), 2);
+            assert_eq!(c.next_expiry(), None);
+        }
     }
 
     #[test]
     fn wire_bytes_account_shared_headers() {
-        let mut c = Concatenator::new(cfg(10));
-        for i in 0..5 {
-            c.push(SimTime::ZERO, 1, PrKind::Response, pr(i), 64);
+        for mut c in points(cfg(10)) {
+            for i in 0..5 {
+                c.push(SimTime::ZERO, 1, PrKind::Response, pr(i), 64);
+            }
+            let pkts = c.flush_expired(SimTime::from_ns(10));
+            assert_eq!(pkts[0].wire_bytes, 62 + 5 * (18 + 64));
+            assert_eq!(c.prs_per_packet().mean(), 5.0);
         }
-        let pkts = c.flush_expired(SimTime::from_ns(10));
-        assert_eq!(pkts[0].wire_bytes, 62 + 5 * (18 + 64));
-        assert_eq!(c.prs_per_packet().mean(), 5.0);
     }
 
     #[test]
@@ -567,17 +703,29 @@ mod tests {
         // Same wire cost as a disabled-concat singleton of equal payload.
         assert_eq!(p.wire_bytes, headers.packet_bytes(1, 64));
         // Normal concatenator output is never flagged degraded.
-        let mut c = Concatenator::new(cfg(10));
-        let out = c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0);
-        assert!(out.is_none());
-        assert!(c.flush_all().iter().all(|p| !p.degraded));
+        for mut c in points(cfg(10)) {
+            assert!(c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0).is_empty());
+            assert!(c.flush_all().iter().all(|p| !p.degraded));
+        }
+    }
+
+    fn push_mixed_payloads(mut c: ConcatPoint) {
+        c.push(SimTime::ZERO, 1, PrKind::Response, pr(1), 64);
+        c.push(SimTime::ZERO, 1, PrKind::Response, pr(2), 128);
     }
 
     #[test]
     #[should_panic(expected = "mixed payload sizes")]
     fn mixed_payloads_rejected() {
-        let mut c = Concatenator::new(cfg(10));
-        c.push(SimTime::ZERO, 1, PrKind::Response, pr(1), 64);
-        c.push(SimTime::ZERO, 1, PrKind::Response, pr(2), 128);
+        push_mixed_payloads(ConcatPoint::dedicated(cfg(10)));
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed payload sizes")]
+    fn mixed_payloads_rejected_by_virtual_cqs() {
+        push_mixed_payloads(ConcatPoint::virtualized(
+            cfg(10),
+            VirtualCqConfig::paper_sketch(),
+        ));
     }
 }

@@ -13,13 +13,12 @@
 //!   `IBV_WR_RIG` verbs extension, §5.4): validation and batch splitting,
 //! - [`rig`] — the **RIG Unit** client pipeline: scan idxs at one per
 //!   cycle, drop local/filtered/coalesced ones, emit read PRs (§5.1, §5.3),
-//! - [`mod@concat`] — the **Concatenator**: per-destination MTU-sized delay
-//!   queues with an expiration queue, merging PRs into shared-header
-//!   packets (§6.1),
-//! - [`vconcat`] — the §7.2 extension: concatenation with a fixed pool of
-//!   virtualized sub-MTU queues instead of per-destination SRAM,
-//! - [`point`] — [`ConcatPoint`], the uniform interface over dedicated and
-//!   virtualized concatenation used by every NIC and switch component,
+//! - [`mod@concat`] — the **Concatenator**: [`ConcatPoint`], per-destination
+//!   delay queues with an expiration queue, merging PRs into shared-header
+//!   packets (§6.1); every NIC and switch component uses it,
+//! - [`vconcat`] — the §7.2 extension: the configuration of a fixed pool of
+//!   virtualized sub-MTU queues, which a [`ConcatPoint`] can draw on
+//!   instead of per-destination SRAM,
 //! - [`config`] — the SNIC parameters of Table 5.
 //!
 //! The event-driven composition of these pieces into a full cluster lives
@@ -34,16 +33,14 @@ pub mod concat;
 pub mod config;
 pub mod filter;
 pub mod pending;
-pub mod point;
 pub mod protocol;
 pub mod rig;
 pub mod vconcat;
 
 pub use command::RigCommand;
-pub use concat::{ConcatConfig, ConcatPacket, Concatenator};
+pub use concat::{ConcatConfig, ConcatPacket, ConcatPoint};
 pub use config::SnicConfig;
 pub use filter::IdxFilter;
 pub use pending::PendingTable;
-pub use point::ConcatPoint;
 pub use protocol::{HeaderSpec, Pr, PrKind};
 pub use rig::{IdxOutcome, RigClient};

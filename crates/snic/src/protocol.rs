@@ -24,8 +24,9 @@ pub enum PrKind {
     Partial,
 }
 
-/// How many PR kinds exist; per-destination queue slabs are strided by
-/// this (see `Concatenator::slot` / `VirtualConcatenator::slot`).
+/// How many PR kinds exist; the concatenation point's per-destination CQ
+/// slab is strided by this (slot `dest * PR_KINDS + kind`, see
+/// [`ConcatPoint`](crate::ConcatPoint)).
 pub const PR_KINDS: usize = 3;
 
 /// One Property Request, as carried in the PR layer.

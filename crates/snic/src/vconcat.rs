@@ -8,21 +8,39 @@
 //! total occupancy reaches the MTU, its physical CQs are concatenated into
 //! one packet and returned to the pool.
 //!
-//! [`VirtualConcatenator`] implements that design with the same external
-//! contract as [`crate::Concatenator`] (push / expiry / flush, exactly-once
-//! PR delivery), plus a pool-pressure policy: when a PR arrives, its
-//! virtual CQ needs a new physical CQ, and the pool is empty, the oldest
-//! virtual CQ is flushed early to free space.
-
-use netsparse_desim::trace::FlushReason;
-#[cfg(feature = "trace")]
-use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
-use netsparse_desim::{Histogram, SimTime};
-
-use crate::concat::{ConcatConfig, ConcatPacket};
-use crate::protocol::{Pr, PrKind, PR_KINDS};
+//! The pool is a policy on the one concatenation core: a
+//! [`ConcatPoint::virtualized`] point keeps the dedicated point's contract
+//! (push / expiry / flush, exactly-once PR delivery) and adds only what
+//! the hardware adds. Each virtual CQ counts the physical CQs it holds;
+//! when a PR needs one more and the pool is empty, the least recently
+//! touched other virtual CQ is flushed early to free space; and a PR
+//! larger than the whole pool bypasses the queues.
+//!
+//! [`ConcatPoint::virtualized`]: crate::ConcatPoint::virtualized
 
 /// Configuration of the physical-CQ pool.
+///
+/// # Example
+///
+/// ```
+/// use netsparse_snic::vconcat::VirtualCqConfig;
+/// use netsparse_snic::{ConcatConfig, ConcatPoint, HeaderSpec, Pr, PrKind};
+/// use netsparse_desim::SimTime;
+///
+/// let cfg = ConcatConfig {
+///     headers: HeaderSpec::paper(),
+///     mtu: 1_500,
+///     delay: SimTime::from_ns(200),
+///     enabled: true,
+/// };
+/// let mut c = ConcatPoint::virtualized(cfg, VirtualCqConfig::paper_sketch());
+/// let pr = Pr { src_node: 0, src_tid: 0, idx: 9, req_id: 0 };
+/// assert!(c.push(SimTime::ZERO, 3, PrKind::Read, pr, 0).is_empty());
+/// assert_eq!(c.free_physical(), Some(63));
+/// let pkts = c.flush_expired(SimTime::from_ns(200));
+/// assert_eq!(pkts[0].prs.len(), 1);
+/// assert_eq!(c.free_physical(), Some(64));
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VirtualCqConfig {
     /// Number of physical CQs (independent of cluster size).
@@ -54,404 +72,11 @@ pub fn dedicated_sram_bytes(nodes: u32, mtu: u32) -> u64 {
     2 * (nodes.saturating_sub(1)) as u64 * mtu as u64
 }
 
-#[derive(Debug)]
-struct VirtualCq {
-    prs: Vec<Pr>,
-    bytes: u32,
-    physical: usize,
-    payload_per_pr: u32,
-    first_enqueued: SimTime,
-    last_touch: u64,
-}
-
-impl Default for VirtualCq {
-    fn default() -> Self {
-        VirtualCq {
-            prs: Vec::new(),
-            bytes: 0,
-            physical: 0,
-            payload_per_pr: 0,
-            first_enqueued: SimTime::ZERO,
-            last_touch: 0,
-        }
-    }
-}
-
-/// Retained emptied `prs` vectors, capped so pathological fan-out cannot
-/// hoard memory (same policy as [`crate::Concatenator`]).
-const SPARE_CAP: usize = 64;
-
-/// A concatenation point backed by a fixed physical-CQ pool.
-///
-/// Virtual CQs live in a dense slab indexed by `dest * PR_KINDS + kind`
-/// (destination ids are dense, `PrKind::Read < PrKind::Response <
-/// PrKind::Partial`), so
-/// ascending-slot iteration reproduces the `(dest, kind)` order the
-/// former `BTreeMap` storage drained in — flush order, and therefore
-/// the event stream and audit digest, are unchanged. Emptied `prs`
-/// vectors are parked in a spare pool and reused on the next flush;
-/// callers that consume packets can donate the allocation back via
-/// [`VirtualConcatenator::recycle`].
-///
-/// # Example
-///
-/// ```
-/// use netsparse_snic::{ConcatConfig, HeaderSpec, Pr, PrKind};
-/// use netsparse_snic::vconcat::{VirtualCqConfig, VirtualConcatenator};
-/// use netsparse_desim::SimTime;
-///
-/// let cfg = ConcatConfig {
-///     headers: HeaderSpec::paper(),
-///     mtu: 1_500,
-///     delay: SimTime::from_ns(200),
-///     enabled: true,
-/// };
-/// let mut c = VirtualConcatenator::new(cfg, VirtualCqConfig::paper_sketch());
-/// let pr = Pr { src_node: 0, src_tid: 0, idx: 9, req_id: 0 };
-/// assert!(c.push(SimTime::ZERO, 3, PrKind::Read, pr, 0).is_empty());
-/// let pkts = c.flush_expired(SimTime::from_ns(200));
-/// assert_eq!(pkts[0].prs.len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct VirtualConcatenator {
-    cfg: ConcatConfig,
-    pool: VirtualCqConfig,
-    free_physical: usize,
-    queues: Vec<VirtualCq>,
-    spare: Vec<Vec<Pr>>,
-    touch: u64,
-    prs_per_packet: Histogram,
-    packets: u64,
-    early_flushes: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<(Tracer, TrackId)>,
-}
-
-impl VirtualConcatenator {
-    /// Creates an empty point with all physical CQs free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is empty or a physical CQ is larger than the MTU.
-    pub fn new(cfg: ConcatConfig, pool: VirtualCqConfig) -> Self {
-        assert!(pool.physical_queues > 0, "pool needs at least one CQ");
-        assert!(
-            pool.physical_bytes > 0 && pool.physical_bytes <= cfg.mtu,
-            "physical CQs must be sub-MTU"
-        );
-        VirtualConcatenator {
-            cfg,
-            pool,
-            free_physical: pool.physical_queues,
-            queues: Vec::new(),
-            spare: Vec::new(),
-            touch: 0,
-            prs_per_packet: Histogram::new(),
-            packets: 0,
-            early_flushes: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-        }
-    }
-
-    /// Attaches a tracer; every emitted packet is recorded as a
-    /// `concat_flush` on `track` (the owner's concat lane).
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: Tracer, track: TrackId) {
-        self.tracer = Some((tracer, track));
-    }
-
-    /// The pool configuration.
-    pub fn pool(&self) -> &VirtualCqConfig {
-        &self.pool
-    }
-
-    /// Physical CQs currently unassigned.
-    pub fn free_physical(&self) -> usize {
-        self.free_physical
-    }
-
-    /// Times a virtual CQ was flushed early due to pool pressure.
-    pub fn early_flushes(&self) -> u64 {
-        self.early_flushes
-    }
-
-    /// Packets emitted so far.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Distribution of PRs per emitted packet.
-    pub fn prs_per_packet(&self) -> &Histogram {
-        &self.prs_per_packet
-    }
-
-    /// Total PRs waiting.
-    pub fn queued_prs(&self) -> usize {
-        self.queues.iter().map(|q| q.prs.len()).sum()
-    }
-
-    /// Slab slot for a `(dest, kind)` pair.
-    fn slot(dest: u32, kind: PrKind) -> usize {
-        dest as usize * PR_KINDS + kind as usize
-    }
-
-    /// Inverse of [`Self::slot`].
-    fn unslot(slot: usize) -> (u32, PrKind) {
-        let kind = match slot % PR_KINDS {
-            0 => PrKind::Read,
-            1 => PrKind::Response,
-            _ => PrKind::Partial,
-        };
-        ((slot / PR_KINDS) as u32, kind)
-    }
-
-    /// Pops a retained `prs` vector from the spare pool, or a fresh one.
-    fn take_spare(&mut self) -> Vec<Pr> {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    /// Donates an emptied `prs` vector back for reuse by later flushes.
-    pub fn recycle(&mut self, mut prs: Vec<Pr>) {
-        if self.spare.len() < SPARE_CAP {
-            prs.clear();
-            self.spare.push(prs);
-        }
-    }
-
-    /// Pushes a PR, handing every emitted packet to `sink`: the pushed
-    /// CQ's own MTU-full emission and/or a victim flushed under pool
-    /// pressure. This is the zero-allocation event-path entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payload_bytes` differs from PRs already queued for the
-    /// same `(dest, kind)`.
-    pub fn push_with(
-        &mut self,
-        now: SimTime,
-        dest: u32,
-        kind: PrKind,
-        pr: Pr,
-        payload_bytes: u32,
-        mut sink: impl FnMut(ConcatPacket),
-    ) {
-        if !self.cfg.enabled {
-            let mut prs = self.take_spare();
-            prs.push(pr);
-            sink(self.emit_prs(dest, kind, prs, payload_bytes, FlushReason::Bypass));
-            return;
-        }
-        let pr_bytes = self.cfg.headers.pr + payload_bytes;
-        // A PR the whole pool cannot hold can never concatenate: bypass
-        // the queues entirely (the dedicated design has the same escape —
-        // `prs_per_mtu` never returns 0).
-        if pr_bytes as u64 > self.pool.sram_bytes() {
-            let mut prs = self.take_spare();
-            prs.push(pr);
-            sink(self.emit_prs(dest, kind, prs, payload_bytes, FlushReason::Bypass));
-            return;
-        }
-        self.touch += 1;
-        let touch = self.touch;
-        let budget = self.mtu_budget();
-        let slot = Self::slot(dest, kind);
-        if slot >= self.queues.len() {
-            // Amortized: the slab grows once per destination, then stays.
-            self.queues.resize_with(slot + 1, VirtualCq::default);
-        }
-
-        // MTU check first: would this PR overflow the virtual CQ?
-        let q = &self.queues[slot];
-        if !q.prs.is_empty() && q.bytes + pr_bytes > budget {
-            if let Some(p) = self.flush_slot(slot, FlushReason::Full) {
-                sink(p);
-            }
-        }
-
-        // Does the CQ need another physical queue for this PR?
-        loop {
-            let q = &mut self.queues[slot];
-            if !q.prs.is_empty() {
-                assert_eq!(
-                    q.payload_per_pr, payload_bytes,
-                    "mixed payload sizes in one virtual CQ"
-                );
-            }
-            let capacity = q.physical as u64 * self.pool.physical_bytes as u64;
-            if (q.bytes + pr_bytes) as u64 <= capacity {
-                q.prs.push(pr);
-                q.bytes += pr_bytes;
-                q.payload_per_pr = payload_bytes;
-                q.last_touch = touch;
-                if q.prs.len() == 1 {
-                    q.first_enqueued = now;
-                }
-                break;
-            }
-            if self.free_physical > 0 {
-                self.free_physical -= 1;
-                q.physical += 1;
-                continue;
-            }
-            // Pool exhausted: evict the least recently touched other CQ
-            // (`last_touch` values are unique, so the choice does not
-            // depend on iteration order).
-            self.early_flushes += 1;
-            let victim = self
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|&(s, q)| s != slot && !q.prs.is_empty())
-                .min_by_key(|(_, q)| q.last_touch)
-                .map(|(s, _)| s);
-            match victim {
-                Some(v) => {
-                    if let Some(p) = self.flush_slot(v, FlushReason::Pressure) {
-                        sink(p);
-                    }
-                }
-                None => {
-                    // Nothing else holds physicals: flush ourselves.
-                    if let Some(p) = self.flush_slot(slot, FlushReason::Pressure) {
-                        sink(p);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pushes a PR. May return several packets: the pushed CQ's own
-    /// MTU-full emission and/or a victim flushed under pool pressure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payload_bytes` differs from PRs already queued for the
-    /// same `(dest, kind)`.
-    pub fn push(
-        &mut self,
-        now: SimTime,
-        dest: u32,
-        kind: PrKind,
-        pr: Pr,
-        payload_bytes: u32,
-    ) -> Vec<ConcatPacket> {
-        let mut out = Vec::new(); // simaudit:allow(no-hot-alloc): convenience wrapper for tests and doctests; the event path uses push_with
-        self.push_with(now, dest, kind, pr, payload_bytes, |p| out.push(p));
-        out
-    }
-
-    /// Largest PR-layer byte budget a virtual CQ may accumulate.
-    fn mtu_budget(&self) -> u32 {
-        self.cfg.mtu - self.cfg.headers.per_packet()
-    }
-
-    /// The earliest pending expiration, if any.
-    pub fn next_expiry(&mut self) -> Option<SimTime> {
-        self.queues
-            .iter()
-            .filter(|q| !q.prs.is_empty())
-            .map(|q| q.first_enqueued + self.cfg.delay)
-            .min()
-    }
-
-    /// Flushes every virtual CQ whose delay budget has expired, handing
-    /// each packet to `sink` in ascending `(dest, kind)` order.
-    pub fn flush_expired_with(&mut self, now: SimTime, mut sink: impl FnMut(ConcatPacket)) {
-        let delay = self.cfg.delay;
-        for slot in 0..self.queues.len() {
-            let q = &self.queues[slot];
-            if !q.prs.is_empty() && q.first_enqueued + delay <= now {
-                if let Some(p) = self.flush_slot(slot, FlushReason::Expired) {
-                    sink(p);
-                }
-            }
-        }
-    }
-
-    /// Flushes every virtual CQ whose delay budget has expired.
-    pub fn flush_expired(&mut self, now: SimTime) -> Vec<ConcatPacket> {
-        let mut out = Vec::new(); // simaudit:allow(no-hot-alloc): convenience wrapper for tests and doctests; the event path uses flush_expired_with
-        self.flush_expired_with(now, |p| out.push(p));
-        out
-    }
-
-    /// Flushes everything (drain at kernel end), handing each packet to
-    /// `sink` in ascending `(dest, kind)` order.
-    pub fn flush_all_with(&mut self, mut sink: impl FnMut(ConcatPacket)) {
-        for slot in 0..self.queues.len() {
-            if let Some(p) = self.flush_slot(slot, FlushReason::Drained) {
-                sink(p);
-            }
-        }
-    }
-
-    /// Flushes everything (drain at kernel end).
-    pub fn flush_all(&mut self) -> Vec<ConcatPacket> {
-        let mut out = Vec::new(); // simaudit:allow(no-hot-alloc): convenience wrapper for tests and doctests; the event path uses flush_all_with
-        self.flush_all_with(|p| out.push(p));
-        out
-    }
-
-    fn flush_slot(&mut self, slot: usize, reason: FlushReason) -> Option<ConcatPacket> {
-        let VirtualConcatenator {
-            queues,
-            spare,
-            free_physical,
-            ..
-        } = self;
-        let q = queues.get_mut(slot)?;
-        if q.prs.is_empty() {
-            return None;
-        }
-        let prs = std::mem::replace(&mut q.prs, spare.pop().unwrap_or_default());
-        let payload = q.payload_per_pr;
-        *free_physical += q.physical;
-        q.physical = 0;
-        q.bytes = 0;
-        let (dest, kind) = Self::unslot(slot);
-        Some(self.emit_prs(dest, kind, prs, payload, reason))
-    }
-
-    fn emit_prs(
-        &mut self,
-        dest: u32,
-        kind: PrKind,
-        prs: Vec<Pr>,
-        payload: u32,
-        reason: FlushReason,
-    ) -> ConcatPacket {
-        let wire_bytes = self.cfg.headers.packet_bytes(prs.len() as u32, payload);
-        self.prs_per_packet.record(prs.len() as u64);
-        self.packets += 1;
-        #[cfg(feature = "trace")]
-        if let Some((tracer, track)) = &self.tracer {
-            tracer.record(
-                *track,
-                TraceEvent::ConcatFlush {
-                    reason,
-                    prs: prs.len() as u32,
-                    wire_bytes: wire_bytes as u32,
-                },
-            );
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = reason;
-        ConcatPacket {
-            dest,
-            kind,
-            payload_per_pr: payload,
-            prs,
-            wire_bytes,
-            degraded: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::HeaderSpec;
+    use crate::{ConcatConfig, ConcatPoint, HeaderSpec, Pr, PrKind};
+    use netsparse_desim::SimTime;
 
     fn cfg(delay_ns: u64) -> ConcatConfig {
         ConcatConfig {
@@ -484,7 +109,7 @@ mod tests {
     fn exactly_once_delivery_with_pool_pressure() {
         // A tiny pool forces constant eviction; no PR may be lost or
         // duplicated regardless.
-        let mut c = VirtualConcatenator::new(
+        let mut c = ConcatPoint::virtualized(
             cfg(1_000_000),
             VirtualCqConfig {
                 physical_queues: 3,
@@ -492,13 +117,15 @@ mod tests {
             },
         );
         let mut emitted = Vec::new();
+        let mut evictions = 0;
         for i in 0..500u32 {
             let dest = i % 17;
-            emitted.extend(
-                c.push(SimTime::from_ns(i as u64), dest, PrKind::Read, pr(i), 0)
-                    .into_iter()
-                    .flat_map(|p| p.prs),
-            );
+            for p in c.push(SimTime::from_ns(i as u64), dest, PrKind::Read, pr(i), 0) {
+                // Nothing here fills an MTU, so a sealed packet for another
+                // destination is a CQ evicted under pool pressure.
+                evictions += usize::from(p.dest != dest);
+                emitted.extend(p.prs);
+            }
         }
         emitted.extend(c.flush_all().into_iter().flat_map(|p| p.prs));
         assert_eq!(emitted.len(), 500);
@@ -506,9 +133,9 @@ mod tests {
         idxs.sort_unstable();
         idxs.dedup();
         assert_eq!(idxs.len(), 500);
-        assert!(c.early_flushes() > 0, "pressure must have occurred");
+        assert!(evictions > 0, "pressure must have occurred");
         // After the final drain every physical CQ is back in the pool.
-        assert_eq!(c.free_physical(), 3);
+        assert_eq!(c.free_physical(), Some(3));
     }
 
     #[test]
@@ -517,67 +144,22 @@ mod tests {
             physical_queues: 8,
             physical_bytes: 128,
         };
-        let mut c = VirtualConcatenator::new(cfg(100), pool);
+        let mut c = ConcatPoint::virtualized(cfg(100), pool);
         for i in 0..20 {
             c.push(SimTime::ZERO, 1, PrKind::Read, pr(i), 0);
         }
-        assert!(c.free_physical() < 8);
+        assert!(c.free_physical() < Some(8));
         c.flush_all();
-        assert_eq!(c.free_physical(), 8);
+        assert_eq!(c.free_physical(), Some(8));
         assert_eq!(c.queued_prs(), 0);
-    }
-
-    #[test]
-    fn virtual_mtu_flush_matches_dedicated_behaviour() {
-        // With an ample pool, the virtual point emits MTU-packed packets
-        // just like the dedicated one.
-        let mut c = VirtualConcatenator::new(
-            cfg(1_000_000),
-            VirtualCqConfig {
-                physical_queues: 64,
-                physical_bytes: 256,
-            },
-        );
-        let cap = HeaderSpec::paper().prs_per_mtu(1_500, 0);
-        let mut flushed = Vec::new();
-        for i in 0..(cap * 2) {
-            flushed.extend(c.push(SimTime::ZERO, 5, PrKind::Read, pr(i), 0));
-        }
-        assert!(!flushed.is_empty());
-        for p in &flushed {
-            assert!(p.wire_bytes <= 1_500);
-            assert!(p.prs.len() >= (cap as usize) / 2);
-        }
-    }
-
-    #[test]
-    fn expiry_follows_first_pr() {
-        let mut c = VirtualConcatenator::new(cfg(100), VirtualCqConfig::paper_sketch());
-        c.push(SimTime::from_ns(10), 2, PrKind::Read, pr(1), 0);
-        c.push(SimTime::from_ns(50), 2, PrKind::Read, pr(2), 0);
-        assert_eq!(c.next_expiry(), Some(SimTime::from_ns(110)));
-        assert!(c.flush_expired(SimTime::from_ns(100)).is_empty());
-        let pkts = c.flush_expired(SimTime::from_ns(110));
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].prs.len(), 2);
-    }
-
-    #[test]
-    fn disabled_mode_is_passthrough() {
-        let mut c = VirtualConcatenator::new(
-            ConcatConfig::disabled(HeaderSpec::paper()),
-            VirtualCqConfig::paper_sketch(),
-        );
-        let out = c.push(SimTime::ZERO, 1, PrKind::Response, pr(3), 64);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].prs.len(), 1);
+        assert_eq!(ConcatPoint::dedicated(cfg(100)).free_physical(), None);
     }
 
     #[test]
     fn pr_larger_than_pool_bypasses_the_queues() {
         // Regression: a response PR (82 B) against a 1x32 B pool must not
         // spin in the eviction loop; it bypasses as a singleton packet.
-        let mut c = VirtualConcatenator::new(
+        let mut c = ConcatPoint::virtualized(
             cfg(100),
             VirtualCqConfig {
                 physical_queues: 1,
@@ -588,13 +170,14 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].prs.len(), 1);
         assert_eq!(c.queued_prs(), 0);
-        assert_eq!(c.free_physical(), 1);
+        assert_eq!(c.free_physical(), Some(1));
+        assert_eq!(c.next_expiry(), None);
     }
 
     #[test]
     #[should_panic(expected = "sub-MTU")]
     fn oversized_physical_rejected() {
-        VirtualConcatenator::new(
+        let _ = ConcatPoint::virtualized(
             cfg(10),
             VirtualCqConfig {
                 physical_queues: 4,

@@ -18,8 +18,9 @@
 //!   edge switches merge `Partial` contribution PRs per output row before
 //!   forwarding them toward the row's owner.
 //!
-//! Concatenators inside switches reuse `netsparse_snic::Concatenator` (the
-//! mechanism is identical; only the delay budget differs).
+//! Concatenators inside switches reuse `netsparse_snic::ConcatPoint`,
+//! dedicated or virtualized like the NICs' (the mechanism is identical;
+//! only the delay budget differs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

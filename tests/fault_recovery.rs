@@ -3,7 +3,7 @@
 //! and degraded-mode escalation — and virtualized Concatenation Queues
 //! (§7.2).
 
-use netsparse::config::{ConcatImpl, FaultConfig};
+use netsparse::config::{ConcatImpl, ConfigError, FaultConfig};
 use netsparse::prelude::*;
 use netsparse_desim::{Liveness, LossModel};
 use netsparse_snic::vconcat::{dedicated_sram_bytes, VirtualCqConfig};
@@ -339,6 +339,31 @@ fn virtual_cqs_preserve_functionality() {
     let report = simulate(&cfg, &wl);
     assert!(report.functional_check_passed);
     assert!(report.prs_per_packet.mean() > 1.0, "still concatenates");
+}
+
+#[test]
+fn bad_virtual_pools_are_typed_config_errors() {
+    // Each of these pools would trip an assert inside the concatenation
+    // point; try_simulate must reject them up front instead.
+    let wl = workload(6);
+    let pool = |physical_queues, physical_bytes| VirtualCqConfig {
+        physical_queues,
+        physical_bytes,
+    };
+    let mut cfg = ClusterConfig::mini(topo(), 16);
+    for (bad, field) in [
+        (pool(0, 128), "concat_impl.physical_queues"),
+        (pool(64, 0), "concat_impl.physical_bytes"),
+        (pool(64, cfg.snic.mtu + 1), "concat_impl.physical_bytes"),
+    ] {
+        cfg.concat_impl = ConcatImpl::Virtual(bad);
+        match try_simulate(&cfg, &wl) {
+            Err(SimError::Config(ConfigError::DegenerateCluster { what })) => {
+                assert_eq!(what, field, "{bad:?}");
+            }
+            other => panic!("{bad:?} must be a typed config error, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -9,7 +9,8 @@
 
 use netsparse_desim::{SimTime, SplitMix64};
 use netsparse_netsim::{Network, Topology};
-use netsparse_snic::{ConcatConfig, Concatenator, HeaderSpec, IdxFilter, Pr, PrKind};
+use netsparse_snic::vconcat::VirtualCqConfig;
+use netsparse_snic::{ConcatConfig, ConcatPacket, ConcatPoint, HeaderSpec, IdxFilter, Pr, PrKind};
 use netsparse_sparse::Partition1D;
 use netsparse_switch::{PropertyCache, PropertyCacheConfig};
 
@@ -69,7 +70,7 @@ fn concatenator_never_loses_or_duplicates_prs() {
             delay: SimTime::from_ns(delay_ns),
             enabled: true,
         };
-        let mut c = Concatenator::new(cfg);
+        let mut c = ConcatPoint::dedicated(cfg);
         let mut emitted: Vec<Pr> = Vec::new();
         let mut pushed = 0u32;
         for i in 0..n_pushes {
@@ -88,7 +89,7 @@ fn concatenator_never_loses_or_duplicates_prs() {
                 req_id: i as u32,
             };
             pushed += 1;
-            if let Some(p) = c.push(SimTime::from_ns(t), dest, kind, pr, payload) {
+            for p in c.push(SimTime::from_ns(t), dest, kind, pr, payload) {
                 assert!(p.wire_bytes <= 1_500);
                 emitted.extend(p.prs);
             }
@@ -118,8 +119,8 @@ fn concatenated_packets_are_homogeneous() {
             delay: SimTime::from_ns(100),
             enabled: true,
         };
-        let mut c = Concatenator::new(cfg);
-        let check = |p: netsparse_snic::ConcatPacket| {
+        let mut c = ConcatPoint::dedicated(cfg);
+        let check = |p: ConcatPacket| {
             // All PRs in one packet share destination and kind by
             // construction; wire bytes must match the formula.
             let expect = HeaderSpec::paper().packet_bytes(p.prs.len() as u32, p.payload_per_pr);
@@ -139,7 +140,7 @@ fn concatenated_packets_are_homogeneous() {
                 idx: i as u32,
                 req_id: i as u32,
             };
-            if let Some(p) = c.push(SimTime::ZERO, dest, kind, pr, payload) {
+            for p in c.push(SimTime::ZERO, dest, kind, pr, payload) {
                 check(p);
             }
         }
@@ -313,7 +314,6 @@ fn suite_generator_invariants() {
 
 #[test]
 fn virtual_concatenator_exactly_once() {
-    use netsparse_snic::vconcat::{VirtualConcatenator, VirtualCqConfig};
     for_cases(0x0B, 64, |rng| {
         let n_pushes = rng.range_u32(1, 250) as usize;
         let physical_queues = rng.range_u32(1, 12) as usize;
@@ -324,7 +324,7 @@ fn virtual_concatenator_exactly_once() {
             delay: SimTime::from_ns(100),
             enabled: true,
         };
-        let mut c = VirtualConcatenator::new(
+        let mut c = ConcatPoint::virtualized(
             cfg,
             VirtualCqConfig {
                 physical_queues,
@@ -355,7 +355,7 @@ fn virtual_concatenator_exactly_once() {
             emitted += p.prs.len();
         }
         assert_eq!(emitted, n_pushes);
-        assert_eq!(c.free_physical(), physical_queues);
+        assert_eq!(c.free_physical(), Some(physical_queues));
     });
 }
 
@@ -475,7 +475,6 @@ fn concat_flush_sizes_never_exceed_the_mtu() {
     // exceeds it (jumbo payloads have no smaller representation). Holds
     // for the dedicated and the virtualized concatenator alike, on every
     // flush path: MTU-full, timer expiry, pressure eviction and drain.
-    use netsparse_snic::vconcat::{VirtualConcatenator, VirtualCqConfig};
     for_cases(0x22, 96, |rng| {
         let mtu = rng.range_u32(200, 9_000);
         let h = HeaderSpec::paper();
@@ -487,8 +486,8 @@ fn concat_flush_sizes_never_exceed_the_mtu() {
         };
         let payload_of = |kind: PrKind| if kind == PrKind::Read { 0 } else { 64 };
         let bound = |kind: PrKind| (mtu as u64).max(h.packet_bytes(1, payload_of(kind)));
-        let mut c = Concatenator::new(cfg);
-        let mut v = VirtualConcatenator::new(
+        let mut c = ConcatPoint::dedicated(cfg);
+        let mut v = ConcatPoint::virtualized(
             cfg,
             VirtualCqConfig {
                 physical_queues: 8,
@@ -509,7 +508,7 @@ fn concat_flush_sizes_never_exceed_the_mtu() {
                 idx: i,
                 req_id: i,
             };
-            if let Some(p) = c.push(t, dest, kind, pr, payload_of(kind)) {
+            for p in c.push(t, dest, kind, pr, payload_of(kind)) {
                 assert!(p.wire_bytes <= bound(p.kind), "dedicated push overflow");
             }
             c.flush_expired_with(t, |p| {
@@ -528,5 +527,85 @@ fn concat_flush_sizes_never_exceed_the_mtu() {
         for p in v.flush_all() {
             assert!(p.wire_bytes <= bound(p.kind), "virtual drain overflow");
         }
+    });
+}
+
+#[test]
+fn the_virtual_pool_is_only_a_policy() {
+    // A virtualized point whose pool can never run dry seals exactly the
+    // packets a dedicated point seals, call by call. Only the order within
+    // one expiry flush may differ: the virtual point drains in ascending
+    // (dest, kind) order.
+    type Key = (u32, usize, u32, Vec<u32>);
+    fn keys(pkts: &[ConcatPacket]) -> Vec<Key> {
+        let mut keys: Vec<Key> = pkts
+            .iter()
+            .map(|p| {
+                let idxs = p.prs.iter().map(|pr| pr.idx).collect();
+                (p.dest, p.kind as usize, p.payload_per_pr, idxs)
+            })
+            .collect();
+        keys.sort();
+        keys
+    }
+    for_cases(0x23, 128, |rng| {
+        let mtu = rng.range_u32(200, 9_000);
+        let physical_bytes = rng.range_u32(64, 1_024).min(mtu);
+        let cfg = ConcatConfig {
+            headers: HeaderSpec::paper(),
+            mtu,
+            delay: SimTime::from_ns(rng.range_u64(1, 800)),
+            enabled: true,
+        };
+        // 8 destinations × 2 kinds, each CQ under one MTU: the pool
+        // covers every CQ at its fullest.
+        let physical_queues = 16 * mtu.div_ceil(physical_bytes) as usize;
+        let mut d = ConcatPoint::dedicated(cfg);
+        let mut v = ConcatPoint::virtualized(
+            cfg,
+            VirtualCqConfig {
+                physical_queues,
+                physical_bytes,
+            },
+        );
+        let mut t = 0;
+        for i in 0..rng.range_u32(1, 400) {
+            t += rng.range_u64(0, 40);
+            let now = SimTime::from_ns(t);
+            let dest = rng.range_u32(0, 8);
+            let (kind, payload) = if rng.next_bool() {
+                (PrKind::Read, 0)
+            } else {
+                (PrKind::Response, 64)
+            };
+            let pr = Pr {
+                src_node: 0,
+                src_tid: 0,
+                idx: i,
+                req_id: i,
+            };
+            assert_eq!(
+                keys(&d.push(now, dest, kind, pr, payload)),
+                keys(&v.push(now, dest, kind, pr, payload)),
+                "push {i} sealed different packets"
+            );
+            let (expired_d, expired_v) = (d.flush_expired(now), v.flush_expired(now));
+            assert_eq!(
+                keys(&expired_d),
+                keys(&expired_v),
+                "expiry flush after push {i} sealed different packets"
+            );
+            let order: Vec<(u32, usize)> = expired_v
+                .iter()
+                .map(|p| (p.dest, p.kind as usize))
+                .collect();
+            assert!(
+                order.windows(2).all(|w| w[0] < w[1]),
+                "virtual expiry flush out of (dest, kind) order: {order:?}"
+            );
+            assert_eq!(d.next_expiry(), v.next_expiry());
+        }
+        assert_eq!(keys(&d.flush_all()), keys(&v.flush_all()));
+        assert_eq!(v.free_physical(), Some(physical_queues));
     });
 }
