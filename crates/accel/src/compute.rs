@@ -8,10 +8,8 @@
 //! with an empirical efficiency factor reproduces the compute/communication
 //! ratios the paper reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Which engine performs the per-node computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComputeEngine {
     /// The SPADE sparse accelerator of Table 5.
     Spade,
@@ -46,7 +44,7 @@ pub enum ComputeEngine {
 /// let hbm = ComputeModel::new(ComputeEngine::CpuHbm).spmm_time(1_000_000, 10_000, 16);
 /// assert!(hbm < ddr);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeModel {
     /// The engine modeled.
     pub engine: ComputeEngine,

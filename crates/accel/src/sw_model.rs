@@ -19,7 +19,6 @@
 //! they reproduce.
 
 use netsparse_sparse::CommWorkload;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The SUOpt baseline: optimal sparsity-unaware communication.
@@ -33,7 +32,7 @@ use std::collections::HashSet;
 /// let t = m.comm_time(1_000_000, 16);
 /// assert!((t - 1.28e-3).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuOptModel {
     /// Network line rate in Gbps.
     pub line_rate_gbps: f64,
@@ -65,7 +64,7 @@ impl SuOptModel {
 }
 
 /// The SAOpt baseline: Conveyors-augmented sparsity-aware software.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaOptModel {
     /// Network line rate in Gbps.
     pub line_rate_gbps: f64,
@@ -270,7 +269,7 @@ impl HybridOptModel {
 /// destinations are (more destinations → worse batching in the NIC
 /// doorbell path and worse cache behaviour). The model charges a base
 /// per-PR cost plus a destination-spread penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VanillaSaModel {
     /// Base serialized per-PR software cost, nanoseconds.
     pub base_ns: f64,

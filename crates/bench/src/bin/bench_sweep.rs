@@ -11,6 +11,7 @@
 //! passing off a serial re-run as a 1.0x "parallel" result.
 use std::time::Instant; // simaudit:allow(no-wall-clock): wall-clock benchmark
 
+use netsparse_bench::opts::{available_workers, OptsError, OPTIONS_USAGE};
 use netsparse_bench::{tables, BenchOpts};
 
 /// The slice of the evaluation the benchmark times: the main speedup
@@ -30,17 +31,26 @@ fn timed(o: &BenchOpts) -> (String, f64) {
 }
 
 fn main() {
-    let o = BenchOpts::from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let o = match BenchOpts::from_args(args.iter().cloned()) {
+        Ok(o) => o,
+        Err(OptsError::Help) => {
+            println!("usage: bench_sweep {OPTIONS_USAGE}");
+            return;
+        }
+        Err(OptsError::Invalid(why)) => {
+            eprintln!("error: {why}\nusage: bench_sweep {OPTIONS_USAGE}");
+            std::process::exit(2)
+        }
+    };
     // Default this binary to a sweep-friendly scale; an explicit --scale
     // (or --quick) wins.
-    let scale_given = std::env::args().any(|a| a == "--scale" || a == "--quick");
+    let scale_given = args.iter().any(|a| a == "--scale" || a == "--quick");
     let o = if scale_given { o } else { o.scaled(0.25) };
     let parallel_workers = if o.workers > 1 {
         o.workers
     } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        available_workers()
     };
 
     if parallel_workers <= 1 {

@@ -1,11 +1,18 @@
-//! Command-line options shared by every bench binary.
+//! Command-line options shared by the bench binaries.
+
+use std::num::NonZeroUsize;
+use std::str::FromStr;
+
+/// The options [`BenchOpts::from_args`] accepts, as a usage fragment.
+pub const OPTIONS_USAGE: &str =
+    "[--scale f64] [--seed u64] [--quick] [--paper] [--workers n] [--parallel]";
 
 /// Options for a bench run.
 ///
-/// Every binary accepts:
+/// `repro` and `bench_sweep` accept:
 ///
-/// - `--scale <f64>`: workload scale factor (default 1.0 ≈ 128 k
-///   nonzeros/node; the paper's matrices are ~40x larger),
+/// - `--scale <f64>`: workload scale factor, finite and positive (default
+///   1.0 ≈ 128 k nonzeros/node; the paper's matrices are ~40x larger),
 /// - `--seed <u64>`: generator seed (default 2025),
 /// - `--quick`: quarter-scale run for fast sanity checks,
 /// - `--paper`: use the verbatim Table 5 machine (400 Gbps, real
@@ -39,44 +46,43 @@ impl Default for BenchOpts {
     }
 }
 
+/// Why [`BenchOpts::from_args`] returned no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OptsError {
+    /// `--help` or `-h`: the caller prints its usage and exits cleanly.
+    Help,
+    /// A malformed argument: what is wrong with it.
+    Invalid(String),
+}
+
 impl BenchOpts {
-    /// Parses options from `std::env::args`, panicking with a usage
-    /// message on malformed input.
-    pub fn from_args() -> Self {
+    /// Parses options from `args`, the command line after the program
+    /// name (and after any positional argument the binary takes).
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, OptsError> {
+        const SCALE: &str = "a finite positive number";
         let mut opts = BenchOpts::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--scale" => {
-                    let v = args.next().expect("--scale needs a value");
-                    opts.scale = v.parse().expect("--scale must be a float");
-                }
-                "--seed" => {
-                    let v = args.next().expect("--seed needs a value");
-                    opts.seed = v.parse().expect("--seed must be an integer");
-                }
+                "--scale" => opts.scale = value(&mut args, "--scale", SCALE)?,
+                "--seed" => opts.seed = value(&mut args, "--seed", "an unsigned integer")?,
                 "--quick" => opts.scale *= 0.25,
                 "--paper" => opts.paper_profile = true,
                 "--workers" => {
-                    let v = args.next().expect("--workers needs a value");
-                    opts.workers = v.parse().expect("--workers must be an integer");
+                    let n: NonZeroUsize = value(&mut args, "--workers", "a positive integer")?;
+                    opts.workers = n.get();
                 }
                 "--parallel" => opts.workers = available_workers(),
-                "--help" | "-h" => {
-                    // simaudit:allow(no-debug-print): arg parser reports usage directly to the operator
-                    eprintln!(
-                        "options: [--scale f64] [--seed u64] [--quick] [--paper] \
-                         [--workers n] [--parallel]"
-                    );
-                    std::process::exit(0);
-                }
-                // simaudit:allow(no-lib-panic): CLI usage error; the bench binaries own this failure path
-                other => panic!("unknown option '{other}' (try --help)"),
+                "--help" | "-h" => return Err(OptsError::Help),
+                _ => return Err(OptsError::Invalid(format!("unknown option '{arg}'"))),
             }
         }
-        assert!(opts.scale > 0.0, "--scale must be positive");
-        assert!(opts.workers >= 1, "--workers must be at least 1");
-        opts
+        // Checked on the final value, so `--quick` cannot round a tiny
+        // scale down to zero either.
+        if !(opts.scale.is_finite() && opts.scale > 0.0) {
+            return Err(invalid("--scale", SCALE, &opts.scale.to_string()));
+        }
+        Ok(opts)
     }
 
     /// A derived option set running sweeps over `workers` threads.
@@ -98,16 +104,36 @@ impl BenchOpts {
     }
 }
 
+/// Takes and parses the value following `flag`.
+fn value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    want: &str,
+) -> Result<T, OptsError> {
+    let value = args
+        .next()
+        .ok_or_else(|| OptsError::Invalid(format!("{flag} needs a value")))?;
+    value.parse().map_err(|_| invalid(flag, want, &value))
+}
+
+fn invalid(flag: &str, want: &str, value: &str) -> OptsError {
+    OptsError::Invalid(format!("{flag} must be {want}, not '{value}'"))
+}
+
 /// The worker count `--parallel` selects: every available core.
-pub(crate) fn available_workers() -> usize {
+pub fn available_workers() -> usize {
     std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
+        .map(NonZeroUsize::get)
         .unwrap_or(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<BenchOpts, OptsError> {
+        BenchOpts::from_args(args.iter().map(|a| (*a).to_string()))
+    }
 
     #[test]
     fn defaults_and_scaling() {
@@ -120,5 +146,41 @@ mod tests {
         // Scaling a sweep keeps its worker pool.
         assert_eq!(o.with_workers(8).scaled(0.5).workers, 8);
         assert_eq!(o.with_workers(0).workers, 1);
+    }
+
+    #[test]
+    fn parser_returns_errors_not_panics() {
+        let scale = "--scale must be a finite positive number, not";
+        let cases: &[(&[&str], &str)] = &[
+            (&["--seed"], "--seed needs a value"),
+            (
+                &["--workers", "x"],
+                "--workers must be a positive integer, not 'x'",
+            ),
+            (&["--bogus"], "unknown option '--bogus'"),
+            (
+                &["--workers", "0"],
+                "--workers must be a positive integer, not '0'",
+            ),
+            (&["--scale", "0"], &format!("{scale} '0'")),
+            (&["--scale", "-1"], &format!("{scale} '-1'")),
+            (&["--scale", "NaN"], &format!("{scale} 'NaN'")),
+            (&["--scale", "inf"], &format!("{scale} 'inf'")),
+        ];
+        for (args, want) in cases {
+            assert_eq!(
+                parse(args),
+                Err(OptsError::Invalid(want.to_string())),
+                "{args:?}"
+            );
+        }
+        assert_eq!(parse(&["--quick", "--help"]), Err(OptsError::Help));
+
+        let o = parse(&["--scale", "2", "--quick"]).expect("valid");
+        assert_eq!(o.scale, 0.5);
+        assert_eq!((o.seed, o.workers, o.paper_profile), (2025, 1, false));
+        let o = parse(&["--parallel", "--seed", "7", "--paper"]).expect("valid");
+        assert_eq!(o.workers, available_workers());
+        assert_eq!((o.seed, o.paper_profile), (7, true));
     }
 }

@@ -1,10 +1,11 @@
 //! One function per paper table/figure.
 //!
-//! Every function returns its formatted output (side by side with the
-//! paper's reported values where the paper gives them) so the standalone
-//! binaries and `repro_all` share one implementation. Simulation-backed
-//! experiments use the `mini` cluster profile; the scaling rationale is in
-//! `netsparse::config` and `DESIGN.md`.
+//! Every function takes the run's options (the analytic ones ignore them)
+//! and returns its formatted output, side by side with the paper's
+//! reported values where the paper gives them; the registry in
+//! [`crate::sections`] names each one for the `repro` binary.
+//! Simulation-backed experiments use the `mini` cluster profile; the
+//! scaling rationale is in `netsparse::config` and `DESIGN.md`.
 
 use std::fmt::Write as _;
 
@@ -136,7 +137,7 @@ pub fn table2(o: &BenchOpts) -> String {
 }
 
 /// Table 3: packet-header share of total SA traffic per property size.
-pub fn table3() -> String {
+pub fn table3(_: &BenchOpts) -> String {
     let paper = [97.6, 95.2, 90.9, 83.3, 71.4, 55.6, 38.5, 23.8, 13.5];
     let headers = HeaderSpec::paper();
     let mut out = String::new();
@@ -174,7 +175,7 @@ pub fn table4(o: &BenchOpts) -> String {
 
 /// Figure 10: ideal SAOpt goodput vs communication cores, for K=32 and
 /// K=128.
-pub fn fig10() -> String {
+pub fn fig10(_: &BenchOpts) -> String {
     let model = SaOptModel::paper();
     let mut out = String::new();
     let _ = writeln!(out, "Figure 10: ideal SAOpt goodput vs cores");
@@ -632,7 +633,7 @@ pub fn fig19(o: &BenchOpts) -> String {
 }
 
 /// Figure 20: area/power breakdown of the SNIC extensions.
-pub fn fig20() -> String {
+pub fn fig20(_: &BenchOpts) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 20: SNIC extension area & power (10 nm)");
     let _ = writeln!(
@@ -661,7 +662,7 @@ pub fn fig20() -> String {
 }
 
 /// Table 9: RIG-unit area breakdown.
-pub fn table9() -> String {
+pub fn table9(_: &BenchOpts) -> String {
     let paper = [
         ("Idx Buffer", 12.0),
         ("Pending PR Table", 53.0),
@@ -1409,6 +1410,36 @@ pub fn ext_reduce(o: &BenchOpts) -> String {
     out
 }
 
+/// The structural and communication profile of every benchmark matrix —
+/// the synthetic analogue of the paper's Table 6 plus the signature
+/// quantities the generators are calibrated to.
+pub fn characterize(o: &BenchOpts) -> String {
+    use netsparse_sparse::analysis::WorkloadProfile;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<8} {:>10} {:>8} {:>7} {:>9} {:>9} {:>8} {:>8} {:>7}",
+        "Matrix", "nnz", "remote%", "reuse", "SUred", "SAred", "dests", "share%", "imbal"
+    );
+    for e in all_experiments(o) {
+        let p = WorkloadProfile::of(&e.wl, 16);
+        let _ = writeln!(
+            out,
+            "{:<8} {:>10} {:>7.1}% {:>7.1} {:>9.0} {:>9.2} {:>8.2} {:>7.0}% {:>7.2}",
+            e.matrix.name(),
+            p.total_nnz,
+            p.remote_fraction * 100.0,
+            p.reuse,
+            p.su_redundancy,
+            p.sa_redundancy,
+            p.window_dests,
+            p.rack_sharing * 100.0,
+            p.nnz_imbalance
+        );
+    }
+    out
+}
+
 /// Extension (observability): structured trace capture — per-matrix
 /// record volume, the golden-trace digest, and the kernel's timeline
 /// split into four quartile windows (see `docs/OBSERVABILITY.md`).
@@ -1485,10 +1516,11 @@ mod tests {
 
     #[test]
     fn analytic_tables_render() {
-        assert!(table3().contains("97.6"));
-        assert!(fig10().contains("cores"));
-        assert!(fig20().contains("RIG Units"));
-        assert!(table9().contains("Pending PR Table"));
+        let o = tiny();
+        assert!(table3(&o).contains("97.6"));
+        assert!(fig10(&o).contains("cores"));
+        assert!(fig20(&o).contains("RIG Units"));
+        assert!(table9(&o).contains("Pending PR Table"));
     }
 
     #[test]

@@ -11,7 +11,6 @@ use netsparse_accel::{ComputeEngine, ComputeModel};
 use netsparse_netsim::Topology;
 use netsparse_sparse::suite::SuiteConfig;
 use netsparse_sparse::{CommWorkload, SuiteMatrix};
-use serde::{Deserialize, Serialize};
 
 use crate::baselines::{Baselines, CommComparison};
 use crate::config::ClusterConfig;
@@ -22,7 +21,7 @@ use crate::sim::simulate;
 /// pattern is identical — a remote indexed gather of K-element input
 /// properties driven by the nonzero column ids — so one simulated gather
 /// serves all three; only the compute-side cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SparseKernel {
     /// Sparse matrix x dense vector (K = 1).
     SpMV,

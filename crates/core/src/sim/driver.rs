@@ -72,8 +72,9 @@ pub(crate) struct Shared {
     /// Fault/recovery accounting, folded into the report.
     pub(crate) faults: FaultReport,
     /// Reduction conservation counters (contributions issued, delivered at
-    /// roots, dropped by faults), folded into the report's `ReduceReport`.
-    pub(crate) reduce: ReduceCounters,
+    /// roots, dropped by faults) and root-side traffic; the switch-side
+    /// `merges` and `bypassed` are filled in at report time.
+    pub(crate) reduce: ReduceReport,
     /// Reservoir sample of PR round-trip latencies (ps).
     pub(crate) pr_latency: Reservoir,
     /// Model-level conservation ledger ("pr" issued/resolved/abandoned).
@@ -95,7 +96,7 @@ impl Shared {
             loss_active: cfg.faults.loss.is_lossy(),
             jitter_rng: SplitMix64::new(cfg.faults.seed ^ 0x0BAC_C0FF),
             faults: FaultReport::default(),
-            reduce: ReduceCounters::default(),
+            reduce: ReduceReport::default(),
             pr_latency: Reservoir::new(4_096, 0x01A7_E0C1),
             #[cfg(any(debug_assertions, feature = "audit"))]
             audit: netsparse_desim::Auditor::new(),
@@ -144,21 +145,6 @@ impl Shared {
             self.reduce.value_dropped = self.reduce.value_dropped.wrapping_add(pr.partial_value());
         }
     }
-}
-
-/// Running reduction-conservation counters: contribution counts and
-/// wrapping value sums at issue, delivery (root NICs) and drop sites, plus
-/// root-side traffic totals. Folded into [`ReduceReport`] at report time.
-#[derive(Debug, Default)]
-pub(crate) struct ReduceCounters {
-    pub(crate) contribs_issued: u64,
-    pub(crate) contribs_delivered: u64,
-    pub(crate) contribs_dropped: u64,
-    pub(crate) value_issued: u32,
-    pub(crate) value_delivered: u32,
-    pub(crate) value_dropped: u32,
-    pub(crate) partial_prs_at_root: u64,
-    pub(crate) root_wire_bytes: u64,
 }
 
 /// The assembled cluster: components, fabric, shared state, and the
@@ -344,18 +330,10 @@ impl<'a> World<'a> {
             }
         }
         let reduce = if self.cfg.reduce.enabled {
-            let rc = &self.shared.reduce;
             Some(ReduceReport {
-                contribs_issued: rc.contribs_issued,
-                contribs_delivered: rc.contribs_delivered,
-                contribs_dropped: rc.contribs_dropped,
-                value_issued: rc.value_issued,
-                value_delivered: rc.value_delivered,
-                value_dropped: rc.value_dropped,
                 merges: reduce_merges,
                 bypassed: reduce_bypassed,
-                partial_prs_at_root: rc.partial_prs_at_root,
-                root_wire_bytes: rc.root_wire_bytes,
+                ..std::mem::take(&mut self.shared.reduce)
             })
         } else {
             None
@@ -405,19 +383,20 @@ impl<'a> World<'a> {
             .max()
             .unwrap_or(0);
         let mut functional = true;
+        let payload = u64::from(self.shared.payload);
         let nodes: Vec<NodeReport> = self
             .nodes
             .iter()
             .enumerate()
             .map(|(p, n)| {
-                if n.received != n.needed {
+                if n.filter != n.needed {
                     functional = false;
                 }
                 let mut r = NodeReport {
                     idxs_scanned: self.wl.stream(p as u32).len() as u64,
                     responses: n.responses,
                     duplicate_responses: n.dup_responses,
-                    rx_payload_bytes: n.rx_payload,
+                    rx_payload_bytes: n.responses * payload,
                     rx_wire_bytes: self.fabric.links[self.fabric.downlink[p].0 as usize].bytes(),
                     tx_wire_bytes: self.fabric.links[self.fabric.from_nic[p].0 .0 as usize].bytes(),
                     finish: n.finish.unwrap_or(SimTime::ZERO),

@@ -137,6 +137,8 @@ pub(crate) struct NodeState {
     /// This node's id (its rank and its NIC's element id).
     pub(crate) id: u32,
     pub(crate) units: Vec<ClientUnit>,
+    /// The Idx Filter: the distinct idxs a response has arrived for (the
+    /// functional check compares it against `needed`).
     pub(crate) filter: IdxFilter,
     /// The NIC egress handler pipeline (terminal concat stage only).
     pub(crate) pipeline: Pipeline,
@@ -157,18 +159,14 @@ pub(crate) struct NodeState {
     pub(crate) last_dup: u64,
     pub(crate) last_resp: u64,
     pub(crate) finish: Option<SimTime>,
-    /// Remote idxs this node's stream references (paged bitset; the
-    /// functional check compares it against `received`).
+    /// Remote idxs this node's stream references (paged bitset over the
+    /// same columns as `filter`; equality compares the set bits).
     pub(crate) needed: IdxFilter,
-    /// Distinct idxs a response has arrived for (paged bitset over the
-    /// same columns as `needed`; equality compares the set bits).
-    pub(crate) received: IdxFilter,
     /// Issue timestamp of each outstanding PR — the PR round-trip-latency
     /// probe and the conservation ledger's outstanding set.
     pub(crate) issue_times: IssueLedger,
     pub(crate) responses: u64,
     pub(crate) dup_responses: u64,
-    pub(crate) rx_payload: u64,
     /// SNIC client cycle period, scaled by this node's straggler slowdown.
     pub(crate) cycle: SimTime,
     /// Server PR service time, scaled by this node's straggler slowdown.
@@ -256,11 +254,9 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, wl: &CommWorkload) -> Vec<NodeSta
                     None
                 },
                 needed,
-                received: IdxFilter::new(wl.n_cols()),
                 issue_times: IssueLedger::new(cfg.snic.client_units() as usize),
                 responses: 0,
                 dup_responses: 0,
-                rx_payload: 0,
                 cycle: SimTime::from_ps_f64(cycle.as_ps() as f64 * slowdown),
                 serve: SimTime::from_ps_f64(server_svc.as_ps() as f64 * slowdown),
                 degraded_mode: false,
@@ -668,7 +664,6 @@ impl NodeState {
                 let NodeState {
                     units,
                     filter,
-                    received,
                     issue_times,
                     ..
                 } = self;
@@ -694,16 +689,15 @@ impl NodeState {
                         TraceEvent::StaleResponse { idx: pr.idx },
                     );
                 }
+                if filter.contains(pr.idx) {
+                    self.dup_responses += 1;
+                }
                 let unit = &mut units[pr.src_tid as usize];
                 unit.rig.complete(pr.idx, filter);
                 if unit.cmd.is_some() {
                     unit.received_this_cmd.push(pr.idx);
                 }
-                if !received.insert(pr.idx) {
-                    self.dup_responses += 1;
-                }
                 self.responses += 1;
-                self.rx_payload += payload;
                 self.pcie_d2h.transmit(now, payload);
                 let unit = &mut self.units[pr.src_tid as usize];
                 match unit.state {
@@ -754,13 +748,13 @@ impl NodeState {
     }
 
     /// §7.1 recovery: the RIG operation timed out. Abandon outstanding
-    /// PRs, discard the partial gather (drop its filter bits and received
-    /// records), and restart the command from its first idx with an
-    /// exponentially backed-off, jittered watchdog. The escalation ladder:
-    /// after `max_retries` restarts the node enters degraded mode
-    /// (singleton PRs, forward-only switching); after twice that budget
-    /// the command is abandoned outright so the run terminates instead of
-    /// hanging on an unreachable destination.
+    /// PRs, discard the partial gather (drop its filter bits), and restart
+    /// the command from its first idx with an exponentially backed-off,
+    /// jittered watchdog. The escalation ladder: after `max_retries`
+    /// restarts the node enters degraded mode (singleton PRs, forward-only
+    /// switching); after twice that budget the command is abandoned
+    /// outright so the run terminates instead of hanging on an unreachable
+    /// destination.
     fn watchdog(&mut self, now: SimTime, unit_id: u16, generation: u64, ctx: &mut Ctx<'_, '_, '_>) {
         let base_ns = ctx.cfg.faults.watchdog_ns;
         let max_retries = ctx.cfg.faults.max_retries.max(1);
@@ -817,19 +811,13 @@ impl NodeState {
 
         let new_generation;
         {
-            let NodeState {
-                units,
-                filter,
-                received,
-                ..
-            } = self;
+            let NodeState { units, filter, .. } = self;
             let unit = &mut units[unit_id as usize];
             let Some((start, _)) = unit.cmd else {
                 return;
             };
             for idx in unit.received_this_cmd.drain(..) {
                 filter.remove(idx);
-                received.remove(idx);
             }
             unit.rig.reset_pending();
             unit.pos = start;

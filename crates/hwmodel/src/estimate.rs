@@ -6,8 +6,6 @@
 //! power of the SNIC extensions), Table 9 (RIG-unit area split) and §9.5's
 //! switch numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// Calibrated 10 nm technology parameters.
 ///
 /// - `sram_mbit_per_mm2`: effective density of small/medium SRAM arrays
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 ///   storage area it manages,
 /// - power densities: W/mm² for leakage and for switching at full
 ///   activity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechParams {
     /// SRAM density, Mbit/mm².
     pub sram_mbit_per_mm2: f64,
@@ -69,7 +67,7 @@ impl Default for TechParams {
 }
 
 /// One component's estimate (a bar group of Figure 20).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentEstimate {
     /// Component name.
     pub name: String,

@@ -5,10 +5,8 @@
 //! provides the area / power / delay factors between the nodes used in the
 //! paper, fitted to the published per-node tables.
 
-use serde::{Deserialize, Serialize};
-
 /// Scaling factors from one process node to another.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessScaling {
     /// Source feature size in nanometres.
     pub from_nm: f64,

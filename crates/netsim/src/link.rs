@@ -1,13 +1,12 @@
 //! Link timing: serialization, propagation and backlog tracking.
 
 use netsparse_desim::{RateMeter, SimTime};
-use serde::{Deserialize, Serialize};
 
 #[cfg(feature = "trace")]
 use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
 
 /// Static link parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Line rate in bits per second (paper: 400 Gbps per link).
     pub bandwidth_bps: f64,
@@ -16,7 +15,7 @@ pub struct LinkParams {
 }
 
 /// Serializable nanosecond wrapper for [`SimTime`] inside configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimTimeNs(pub u64);
 
 impl From<SimTimeNs> for SimTime {

@@ -1,7 +1,5 @@
 //! SNIC configuration (paper Table 5, "SNIC" rows).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of a NetSparse-extended SmartNIC.
 ///
 /// Defaults follow Table 5: an AMD Pensando-like part at 2.2 GHz with
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.rig_units, 32);
 /// assert_eq!(c.client_units(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnicConfig {
     /// SNIC clock in GHz (RIG units process one idx per cycle).
     pub clock_ghz: f64,

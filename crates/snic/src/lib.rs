@@ -9,8 +9,6 @@
 //!   marking properties already fetched (§5.2),
 //! - [`pending`] — the **Pending PR Table**, a per-RIG-unit CAM tracking
 //!   outstanding PRs and enabling request coalescing (§5.2),
-//! - [`command`] — the host-facing RIG work request (the paper's
-//!   `IBV_WR_RIG` verbs extension, §5.4): validation and batch splitting,
 //! - [`rig`] — the **RIG Unit** client pipeline: scan idxs at one per
 //!   cycle, drop local/filtered/coalesced ones, emit read PRs (§5.1, §5.3),
 //! - [`mod@concat`] — the **Concatenator**: [`ConcatPoint`], per-destination
@@ -28,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod command;
 pub mod concat;
 pub mod config;
 pub mod filter;
@@ -37,7 +34,6 @@ pub mod protocol;
 pub mod rig;
 pub mod vconcat;
 
-pub use command::RigCommand;
 pub use concat::{ConcatConfig, ConcatPacket, ConcatPoint};
 pub use config::SnicConfig;
 pub use filter::IdxFilter;

@@ -7,13 +7,11 @@
 //! sizes at 50 B (upper layers), 12 B (concatenation layer) and 18 B (PR
 //! layer).
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a PR is a read request, a read response (the paper's two PR
 /// types), or a partial-sum contribution for in-network reduction (the
 /// scatter-side dual the reduction extension adds). Concatenation queues
 /// are segregated by this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PrKind {
     /// A request for a remote property.
     Read,
@@ -93,7 +91,7 @@ pub fn partial_contrib_value(src_node: u32, idx: u32) -> u32 {
 /// // Ten concatenated PRs share the upper + concat headers:
 /// assert_eq!(h.packet_bytes(10, 64), 50 + 12 + 10 * (18 + 64));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeaderSpec {
     /// Upper-layer (Ethernet/IP/RDMA) header bytes per packet.
     pub upper: u32,

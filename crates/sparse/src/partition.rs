@@ -6,8 +6,6 @@
 //! then always local and the only communication is reads of remote input
 //! properties.
 
-use serde::{Deserialize, Serialize};
-
 /// A 1-D block partition of `[0, n)` into contiguous per-node ranges.
 ///
 /// # Example
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.range(0), 0..4);   // ceil-ish split: 4,3,3
 /// assert_eq!(p.range(2), 7..10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition1D {
     n: u32,
     bounds: Vec<u32>, // len = parts + 1, bounds[0] = 0, bounds[parts] = n

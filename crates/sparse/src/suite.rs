@@ -32,7 +32,6 @@
 //!    demand overlaps (→ Property Cache hit potential).
 
 use netsparse_desim::SplitMix64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -40,7 +39,7 @@ use crate::comm::CommWorkload;
 use crate::partition::Partition1D;
 
 /// One of the paper's five benchmark matrices (Table 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SuiteMatrix {
     /// `arabic-2005` — web crawl; 23 M rows, 640 M nnz. Dense-ish, strong
     /// URL locality, heavy column reuse.
@@ -226,7 +225,7 @@ impl FromStr for SuiteMatrix {
 }
 
 /// The distribution of remote destination nodes, relative to the requester.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DestShape {
     /// Only nodes within `width` of the requester (banded matrices).
     Neighbor {
@@ -261,7 +260,7 @@ pub enum DestShape {
 ///
 /// All rates are in "paper space": they are preserved exactly as the scale
 /// changes (pools shrink proportionally with the nonzero count).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Signature {
     /// Which matrix this signature describes.
     pub matrix: SuiteMatrix,
@@ -308,7 +307,7 @@ pub struct Signature {
 }
 
 /// Full generation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteConfig {
     /// Which matrix to generate.
     pub matrix: SuiteMatrix,

@@ -13,15 +13,13 @@
 //! only — property payloads are synthesized deterministically end to end —
 //! but geometry, indexing and replacement are faithful.
 
-use serde::{Deserialize, Serialize};
-
 #[cfg(feature = "trace")]
 use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
 
 /// Replacement policy of the Property Cache. The paper's design point is
 /// LRU (Table 5); the alternatives exist for the policy ablation — FIFO
 /// ignores reuse, random needs no per-line state at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplacementPolicy {
     /// Evict the least recently used line (Table 5's choice).
     #[default]
@@ -33,7 +31,7 @@ pub enum ReplacementPolicy {
 }
 
 /// Static geometry of a Property Cache (one middle-pipe bank).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PropertyCacheConfig {
     /// Total data capacity in bytes (Table 5: 32 MB per switch).
     pub capacity_bytes: u64,

@@ -10,15 +10,13 @@
 //! function both packet types agree on, implementable in hardware from the
 //! PR-layer headers.
 
-use serde::{Deserialize, Serialize};
-
 #[cfg(feature = "trace")]
 use netsparse_desim::trace::{Tracer, TrackId};
 
 use crate::cache::{CacheStats, PropertyCache, PropertyCacheConfig};
 
 /// Switch parameters (Table 5, "Switches" rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchConfig {
     /// Ports (32 × 400 Gbps in the paper).
     pub ports: u32,

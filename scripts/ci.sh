@@ -15,13 +15,13 @@
 # docs/FAULTS.md), the structured-tracing suites with the `trace` feature
 # on (see docs/OBSERVABILITY.md), the repo benchmark's tests in its
 # per-layer (`trace`) build, smoke runs of the ext_fault_sweep and
-# ext_trace extension experiments, the serial-vs-parallel sweep
-# equivalence suite, a timed `repro_all --parallel` smoke via
+# ext_trace sections of the `repro` binary, the serial-vs-parallel sweep
+# equivalence suite, a timed serial-vs-parallel sweep smoke via
 # `bench_sweep`, which emits BENCH_sweep.json with serial vs parallel
 # wall-clock (see docs/ARCHITECTURE.md), a timed `bench_engine` smoke
 # gating events/sec against the committed BENCH_engine.json (>20%
 # regression fails), the in-network reduction invariant tests plus an
-# ext_reduce scenario smoke (see docs/ARCHITECTURE.md §Handler
+# ext_reduce section smoke (see docs/ARCHITECTURE.md §Handler
 # pipelines), and a 50-seed chaoscheck smoke plus shrinker demo emitting
 # the CHAOS_report.json artifact and a 16-seed pass over the reduction
 # slice of the seed space (bit 32 set) emitting CHAOS_reduce_report.json
@@ -57,14 +57,15 @@ if [[ "$fast" -eq 0 ]]; then
     # Fault injection + recovery with the runtime invariant auditor on
     # in release mode (debug runs already audit via debug_assertions).
     run cargo test -q -p netsparse-tests --features audit --release --test fault_recovery
-    run cargo run --release -q -p netsparse-bench --bin ext_fault_sweep
+    run cargo run --release -q -p netsparse-bench --bin repro -- ext_fault_sweep
     # Structured tracing: golden trace, trace-vs-metrics consistency,
     # exporter validity and the protocol property suite, with the tracer
     # and the release auditor both compiled in.
     run cargo test -q -p netsparse-tests --features "trace,audit" --release \
         --test trace_golden --test trace_consistency --test trace_exporters \
         --test protocol_properties
-    run cargo run --release -q -p netsparse-bench --features trace --bin ext_trace -- --scale 0.05
+    run cargo run --release -q -p netsparse-bench --features trace --bin repro -- \
+        ext_trace --scale 0.05
     # The benchmark's per-layer pass replays RigClient, IdxFilter and the
     # other components; test it in the build that pass uses.
     run cargo test -q --release -p netsparse-bench --bin benchmark --features trace
@@ -85,7 +86,7 @@ if [[ "$fast" -eq 0 ]]; then
     # (asserts contribution conservation in every cell).
     run cargo test -q -p netsparse-tests --features audit --release \
         --test switch_semantics --test mechanism_invariants -- reduc
-    run cargo run --release -q -p netsparse-bench --bin ext_reduce -- --scale 0.1
+    run cargo run --release -q -p netsparse-bench --bin repro -- ext_reduce --scale 0.1
     # Chaos smoke: 50 seeded scenarios through the oracle suite with the
     # runtime auditor on. Exits non-zero on any oracle violation or
     # liveness stall; CHAOS_report.json is archived like lint_report.json.

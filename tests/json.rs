@@ -1,6 +1,6 @@
 //! A minimal recursive-descent JSON parser for exporter-validity tests.
 //!
-//! The workspace's `serde` is a no-op stub (no `serde_json`), so the
+//! The workspace uses no external crates (no `serde_json`), so the
 //! Chrome trace exporter hand-emits JSON and this module hand-parses it
 //! back. It supports the full JSON grammar the exporter can produce:
 //! objects, arrays, strings with `\"`/`\\`/`\uXXXX` escapes, numbers,

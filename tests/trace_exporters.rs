@@ -1,8 +1,8 @@
 //! Exporter validity: the Chrome trace-event JSON must be well-formed and
 //! semantically sane (Perfetto-loadable), and the CSV time series must
 //! account for every captured record. The JSON is re-parsed with the
-//! hand-rolled parser in `netsparse_tests::json` since the workspace's
-//! `serde` is a no-op stub.
+//! hand-rolled parser in `netsparse_tests::json` since the workspace
+//! uses no external crates.
 //!
 //! Requires `--features trace`.
 

@@ -107,7 +107,7 @@ pub fn parse_manifest(rel: &str, content: &str) -> Manifest {
                 m.features.insert(key.to_string(), (idx + 1, entries));
             }
             Section::Dependencies => {
-                // `netsparse-desim.workspace = true` / `serde = { ... }`.
+                // `netsparse-desim.workspace = true` / `dep = { ... }`.
                 let dep = key.split('.').next().unwrap_or(key).trim();
                 if !dep.is_empty() {
                     m.deps.push(dep.to_string());
@@ -186,8 +186,7 @@ pub fn check_forwarding(manifests: &BTreeMap<String, Manifest>) -> Vec<Diagnosti
 }
 
 /// Loads and checks every workspace manifest that participates in the
-/// simulation build (crates/*, tests, examples — not the vendored
-/// `third_party` stand-ins, not depless `xtask`).
+/// simulation build (crates/*, tests, examples — not depless `xtask`).
 pub fn check_feature_graph(root: &Path) -> Vec<Diagnostic> {
     let mut manifests = BTreeMap::new();
     let mut paths: Vec<std::path::PathBuf> = Vec::new();
