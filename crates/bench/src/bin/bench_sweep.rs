@@ -1,8 +1,8 @@
 //! Serial-vs-parallel sweep benchmark: runs a representative slice of
 //! the evaluation twice — once on one worker, once on every available
-//! core — verifies the outputs are byte-identical, and writes
-//! `BENCH_sweep.json` with both wall-clocks so the speedup is tracked
-//! across commits.
+//! core — verifies the outputs are byte-identical, and prints a JSON
+//! object with both wall-clocks on stdout (redirect it to a file to keep
+//! it; the committed `BENCH_sweep.json` is one such capture).
 //!
 //! The absolute speedup depends on the runner's core count, so the JSON
 //! records the worker count actually used alongside the timings instead
@@ -63,8 +63,7 @@ fn main() {
             "{{\n  \"bench\": \"sweep_serial_only\",\n  \"scale\": {},\n  \"seed\": {},\n  \"workers\": 1,\n  \"serial_s\": {:.3},\n  \"note\": \"one core available; no parallel pass timed\"\n}}\n",
             o.scale, o.seed, serial_s
         );
-        std::fs::write("BENCH_sweep.json", &json).expect("write BENCH_sweep.json");
-        println!("{json}");
+        print!("{json}");
         eprintln!("[serial {serial_s:.2}s on 1 worker]");
         return;
     }
@@ -83,8 +82,7 @@ fn main() {
         "{{\n  \"bench\": \"sweep_serial_vs_parallel\",\n  \"scale\": {},\n  \"seed\": {},\n  \"workers\": {},\n  \"serial_s\": {:.3},\n  \"parallel_s\": {:.3},\n  \"speedup\": {:.2},\n  \"output_identical\": true\n}}\n",
         o.scale, o.seed, parallel_workers, serial_s, parallel_s, speedup
     );
-    std::fs::write("BENCH_sweep.json", &json).expect("write BENCH_sweep.json");
-    println!("{json}");
+    print!("{json}");
     eprintln!(
         "[serial {serial_s:.2}s, parallel {parallel_s:.2}s on {parallel_workers} workers: \
          {speedup:.2}x; output byte-identical]"

@@ -67,6 +67,15 @@ pub enum ConfigError {
         /// Which parameter.
         what: &'static str,
     },
+    /// A buffer that must fit in one packet is larger than the MTU.
+    ExceedsMtu {
+        /// Which parameter.
+        what: &'static str,
+        /// Its size in bytes.
+        bytes: u32,
+        /// The SNIC MTU in bytes.
+        mtu: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -98,6 +107,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::DegenerateCluster { what } => {
                 write!(f, "cluster config is degenerate: {what} must be nonzero")
+            }
+            ConfigError::ExceedsMtu { what, bytes, mtu } => {
+                write!(f, "{what} = {bytes} exceeds the {mtu} B MTU")
             }
         }
     }
@@ -775,9 +787,16 @@ impl ClusterConfig {
                     what: "concat_impl.physical_queues",
                 });
             }
-            if pool.physical_bytes == 0 || pool.physical_bytes > self.snic.mtu {
+            if pool.physical_bytes == 0 {
                 return Err(ConfigError::DegenerateCluster {
                     what: "concat_impl.physical_bytes",
+                });
+            }
+            if pool.physical_bytes > self.snic.mtu {
+                return Err(ConfigError::ExceedsMtu {
+                    what: "concat_impl.physical_bytes",
+                    bytes: pool.physical_bytes,
+                    mtu: self.snic.mtu,
                 });
             }
         }

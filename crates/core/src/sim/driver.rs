@@ -18,7 +18,7 @@
 //! line of the event loop.
 
 use netsparse_desim::{Engine, Histogram, LossProcess, Reservoir, Scheduler, SimTime, SplitMix64};
-use netsparse_netsim::Element;
+use netsparse_netsim::{Element, LinkParams};
 use netsparse_snic::{ConcatPacket, PrKind};
 use netsparse_sparse::CommWorkload;
 
@@ -63,6 +63,8 @@ pub(crate) struct Shared {
     pub(crate) switch_lat: SimTime,
     /// One-way PCIe latency.
     pub(crate) pcie_lat: SimTime,
+    /// PCIe line rate, for the first Idx Buffer chunk's serialization.
+    pub(crate) pcie: LinkParams,
     /// The configured packet-loss process (applied per switch traversal).
     pub(crate) loss: LossProcess,
     /// Cached `loss.is_lossy()`: skips the RNG entirely when loss is off.
@@ -92,6 +94,7 @@ impl Shared {
             payload: cfg.payload_bytes(),
             switch_lat: cfg.switch_latency(),
             pcie_lat: cfg.pcie_latency(),
+            pcie: cfg.pcie_link(),
             loss: LossProcess::new(cfg.faults.loss, cfg.faults.seed ^ 0x10DD_F00D),
             loss_active: cfg.faults.loss.is_lossy(),
             jitter_rng: SplitMix64::new(cfg.faults.seed ^ 0x0BAC_C0FF),
@@ -184,7 +187,7 @@ impl<'a> World<'a> {
 
     /// Wires `tracer` into every instrumented component: RIG units, NIC
     /// and switch concatenation points, Property-Cache banks, and the
-    /// *network* links (PCIe links are excluded so that the sum of
+    /// network links (the only links the model has, so the sum of
     /// `link_tx` bytes replays to exactly `total_link_bytes`).
     #[cfg(feature = "trace")]
     fn attach_tracer(&mut self, tracer: &Tracer) {

@@ -13,8 +13,9 @@
 //! ([`Ctx`]): the fabric for egress, the scheduler for follow-up events,
 //! and the shared counters/auditor/tracer.
 
+use std::collections::VecDeque;
+
 use netsparse_desim::{Scheduler, SimTime};
-use netsparse_netsim::Link;
 use netsparse_snic::protocol::partial_contrib_value;
 use netsparse_snic::{
     ConcatConfig, ConcatPacket, ConcatPoint, IdxFilter, IdxOutcome, Pr, PrKind, RigClient,
@@ -37,67 +38,77 @@ pub(crate) fn concat_point(cfg: ConcatConfig, implementation: ConcatImpl) -> Con
     }
 }
 
-/// Issue timestamps of outstanding PRs, slab-indexed by client unit.
+/// An [`IssueLedger`] slot whose PR has been resolved.
+const RESOLVED: SimTime = SimTime::MAX;
+
+/// Issue timestamps of outstanding PRs, one req_id window per client unit.
 ///
-/// Each unit's entries stay sorted by `req_id` — `RigClient` allocates
-/// req_ids monotonically, so recording is an append and resolution a
-/// binary search over a short vector (bounded by the pending-table
-/// capacity). A watchdog abandon drains a whole unit in one clear.
-/// req_id (not idx) keeps duplicate issues of one idx distinct, so a
-/// watchdog abandon and a late response can't collide.
+/// `RigClient` hands out req_ids consecutively per unit and every issued
+/// PR is recorded, so a unit's outstanding PRs lie in a window starting
+/// at its oldest unresolved req_id: `slots[i]` is the issue time of
+/// req_id `base + i` (wrapping), or [`RESOLVED`]; `live` counts the
+/// unresolved slots. Recording is a push, resolution an index plus a
+/// trim of resolved slots off the front, and a watchdog abandon clears
+/// the window. req_id (not idx) keeps duplicate issues of one idx
+/// distinct, so a watchdog abandon and a late response can't collide.
 pub(crate) struct IssueLedger {
-    units: Vec<Vec<(u32, SimTime)>>,
+    units: Vec<Window>,
+}
+
+#[derive(Clone, Default)]
+struct Window {
+    base: u32,
+    slots: VecDeque<SimTime>,
+    live: u32,
 }
 
 impl IssueLedger {
     fn new(units: usize) -> Self {
         IssueLedger {
-            units: vec![Vec::new(); units],
+            units: vec![Window::default(); units],
         }
     }
 
-    /// Records the issue time of `(unit, req_id)`.
+    /// Records the issue time of `(unit, req_id)`; `req_id` must follow
+    /// the unit's previous one.
     #[inline]
     fn record(&mut self, unit: u16, req_id: u32, t: SimTime) {
-        let u = &mut self.units[unit as usize];
-        match u.last() {
-            // req_id wrapped (u32 rollover): fall back to a sorted insert
-            // so the binary-search invariant survives.
-            Some(&(last, _)) if last >= req_id => {
-                let pos = u.partition_point(|&(r, _)| r < req_id);
-                u.insert(pos, (req_id, t));
-            }
-            _ => u.push((req_id, t)),
-        }
+        let w = &mut self.units[unit as usize];
+        assert_eq!(req_id, w.base.wrapping_add(w.slots.len() as u32));
+        w.slots.push_back(t);
+        w.live += 1;
     }
 
-    /// Removes and returns the issue time of `(unit, req_id)`, if that PR
-    /// is still outstanding.
+    /// Resolves `(unit, req_id)` and returns its issue time, if that PR is
+    /// still outstanding.
     #[inline]
     fn resolve(&mut self, unit: u16, req_id: u32) -> Option<SimTime> {
-        let u = self.units.get_mut(unit as usize)?;
-        let pos = u.binary_search_by_key(&req_id, |&(r, _)| r).ok()?;
-        Some(u.remove(pos).1)
+        let w = self.units.get_mut(unit as usize)?;
+        let slot = w.slots.get_mut(req_id.wrapping_sub(w.base) as usize)?;
+        let t = std::mem::replace(slot, RESOLVED);
+        if t == RESOLVED {
+            return None;
+        }
+        w.live -= 1;
+        while w.slots.front() == Some(&RESOLVED) {
+            w.slots.pop_front();
+            w.base = w.base.wrapping_add(1);
+        }
+        Some(t)
     }
 
     /// Forgets every outstanding PR of `unit` (watchdog abandon); returns
     /// how many were dropped.
     fn abandon_unit(&mut self, unit: u16) -> u64 {
-        let u = &mut self.units[unit as usize];
-        let n = u.len() as u64;
-        u.clear();
-        n
+        let w = &mut self.units[unit as usize];
+        w.base = w.base.wrapping_add(w.slots.len() as u32);
+        w.slots.clear();
+        u64::from(std::mem::take(&mut w.live))
     }
 
     /// Outstanding PRs across all units.
     pub(crate) fn len(&self) -> usize {
-        self.units.iter().map(Vec::len).sum()
-    }
-
-    /// Whether no PR is outstanding.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.units.iter().all(Vec::is_empty)
+        self.units.iter().map(|w| w.live as usize).sum()
     }
 }
 
@@ -144,8 +155,6 @@ pub(crate) struct NodeState {
     pub(crate) pipeline: Pipeline,
     pub(crate) concat_sched: Option<SimTime>,
     pub(crate) server_busy: SimTime,
-    pub(crate) pcie_h2d: Link,
-    pub(crate) pcie_d2h: Link,
     pub(crate) host_busy: SimTime,
     /// Next unscheduled position in the node's idx stream (commands are
     /// carved from here at issue time, so batch sizes may vary).
@@ -240,8 +249,6 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, wl: &CommWorkload) -> Vec<NodeSta
                 pipeline: Pipeline::for_nic(concat_point(nic_concat_cfg, cfg.concat_impl)),
                 concat_sched: None,
                 server_busy: SimTime::ZERO,
-                pcie_h2d: Link::new(cfg.pcie_link()),
-                pcie_d2h: Link::new(cfg.pcie_link()),
                 host_busy: SimTime::ZERO,
                 stream_pos: 0,
                 active_cmds: 0,
@@ -339,12 +346,9 @@ impl NodeState {
             },
         );
         // Idx batch DMA: the unit starts once the first Idx Buffer chunk
-        // has crossed PCIe; the full batch is charged to the link.
-        let bytes = (end - start) as u64 * 4;
-        let first_chunk = bytes.min(idx_buffer);
-        self.pcie_h2d.transmit(t_cmd, bytes);
-        let start_t =
-            t_cmd + ctx.shared.pcie_lat + self.pcie_h2d.params().serialization(first_chunk);
+        // has crossed PCIe.
+        let first_chunk = ((end - start) as u64 * 4).min(idx_buffer);
+        let start_t = t_cmd + ctx.shared.pcie_lat + ctx.shared.pcie.serialization(first_chunk);
         let unit = &mut self.units[unit_id];
         unit.cmd = Some((start, end));
         unit.pos = start;
@@ -596,7 +600,7 @@ impl NodeState {
         match pkt.kind {
             PrKind::Read => self.serve_reads(now, pkt, ctx),
             PrKind::Response => self.accept_responses(now, pkt, ctx),
-            PrKind::Partial => self.accept_partials(now, pkt, ctx),
+            PrKind::Partial => self.accept_partials(pkt, ctx),
         }
     }
 
@@ -616,7 +620,6 @@ impl NodeState {
             for &pr in &pkt.prs {
                 let t = self.server_busy.max(now) + svc;
                 self.server_busy = t;
-                self.pcie_h2d.transmit(t, payload as u64);
                 let t_resp = t + pcie_lat;
                 if degraded {
                     // Degraded requests get degraded responses: same bare
@@ -656,7 +659,6 @@ impl NodeState {
         debug_assert_eq!(pkt.dest, self.id, "response packet delivered to wrong node");
         #[cfg(feature = "trace")]
         let id = self.id;
-        let payload = ctx.shared.payload as u64;
         let mut wake = std::mem::take(&mut self.wake_buf);
         let mut completed = std::mem::take(&mut self.done_buf);
         {
@@ -698,7 +700,6 @@ impl NodeState {
                     unit.received_this_cmd.push(pr.idx);
                 }
                 self.responses += 1;
-                self.pcie_d2h.transmit(now, payload);
                 let unit = &mut self.units[pr.src_tid as usize];
                 match unit.state {
                     UnitState::Stalled => {
@@ -731,11 +732,10 @@ impl NodeState {
     }
 
     /// Root path of the reduction extension: partial-sum contributions for
-    /// rows this node owns arrive (merged or not), are accounted for
-    /// conservation, and cross PCIe into host memory for the final fold.
-    fn accept_partials(&mut self, now: SimTime, pkt: ConcatPacket, ctx: &mut Ctx<'_, '_, '_>) {
+    /// rows this node owns arrive (merged or not) and are accounted for
+    /// conservation.
+    fn accept_partials(&mut self, pkt: ConcatPacket, ctx: &mut Ctx<'_, '_, '_>) {
         debug_assert_eq!(pkt.dest, self.id, "partial packet delivered to wrong node");
-        let payload = ctx.shared.payload as u64;
         let r = &mut ctx.shared.reduce;
         r.partial_prs_at_root += pkt.prs.len() as u64;
         r.root_wire_bytes += pkt.wire_bytes;
@@ -743,7 +743,6 @@ impl NodeState {
             r.contribs_delivered += pr.partial_contribs();
             r.value_delivered = r.value_delivered.wrapping_add(pr.partial_value());
         }
-        self.pcie_d2h.transmit(now, pkt.prs.len() as u64 * payload);
         self.pipeline.concat_mut().recycle(pkt.prs);
     }
 
@@ -865,6 +864,80 @@ mod tests {
     use netsparse_netsim::Topology;
     use netsparse_sparse::Partition1D;
 
+    /// The req_id-window ledger agrees with a map model under random
+    /// record, resolve and abandon churn on four units, one of which
+    /// starts just below `u32::MAX` so its window wraps.
+    #[test]
+    fn issue_ledger_matches_a_map_model() {
+        use netsparse_desim::SplitMix64;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        const UNITS: usize = 4;
+        let mut ledger = IssueLedger::new(UNITS);
+        let mut model: BTreeMap<(u16, u32), SimTime> = BTreeMap::new();
+        let mut issued: Vec<Vec<u32>> = vec![Vec::new(); UNITS];
+        let mut abandoned: BTreeSet<(u16, u32)> = BTreeSet::new();
+        let mut next = [0u32; UNITS];
+        next[3] = u32::MAX - 8;
+        ledger.units[3].base = next[3];
+        // How often a resolve hit a resolved, an abandoned and a never
+        // issued req_id.
+        let (mut stale, mut gone, mut unissued) = (0, 0, 0);
+        let mut rng = SplitMix64::new(0x1ED6_E700);
+        for step in 0..40_000 {
+            let unit = rng.next_range(UNITS as u64) as u16;
+            let u = unit as usize;
+            match rng.next_range(100) {
+                0..=44 => {
+                    let t = SimTime::from_ps(rng.next_range(1 << 40));
+                    ledger.record(unit, next[u], t);
+                    model.insert((unit, next[u]), t);
+                    issued[u].push(next[u]);
+                    next[u] = next[u].wrapping_add(1);
+                }
+                45..=97 => {
+                    let req_id = match (issued[u].len(), rng.next_range(10)) {
+                        (0, _) | (_, 0) => next[u].wrapping_add(rng.range_u32(0, 3)),
+                        (_, 1) => next[u].wrapping_add(rng.range_u32(1_000, u32::MAX / 2)),
+                        (k, _) => issued[u][k - 1 - rng.next_range(k.min(48) as u64) as usize],
+                    };
+                    let want = model.remove(&(unit, req_id));
+                    assert_eq!(ledger.resolve(unit, req_id), want, "step {step}");
+                    if want.is_none() {
+                        if abandoned.contains(&(unit, req_id)) {
+                            gone += 1;
+                        } else if issued[u].contains(&req_id) {
+                            stale += 1;
+                        } else {
+                            unissued += 1;
+                        }
+                    }
+                }
+                _ => {
+                    let open: Vec<(u16, u32)> = model
+                        .range((unit, 0)..=(unit, u32::MAX))
+                        .map(|(&k, _)| k)
+                        .collect();
+                    for k in &open {
+                        model.remove(k);
+                    }
+                    abandoned.extend(&open);
+                    assert_eq!(ledger.abandon_unit(unit), open.len() as u64);
+                }
+            }
+            assert_eq!(ledger.len(), model.len(), "step {step}");
+        }
+        assert!(next[3] < u32::MAX - 8, "unit 3 never wrapped");
+        assert!(
+            stale > 0 && gone > 0 && unissued > 0,
+            "{stale} {gone} {unissued}"
+        );
+        assert_eq!(ledger.resolve(UNITS as u16, 0), None, "no such unit");
+        for (unit, w) in ledger.units.iter().enumerate() {
+            assert_ne!(w.slots.front(), Some(&RESOLVED), "unit {unit} untrimmed");
+        }
+    }
+
     fn topo() -> Topology {
         Topology::LeafSpine {
             racks: 2,
@@ -911,7 +984,7 @@ mod tests {
         assert_eq!(node.active_cmds, 0);
         assert_eq!(node.stream_pos, 6);
         assert!(node.units.iter().all(|u| u.state == UnitState::Idle));
-        assert!(node.issue_times.is_empty());
+        assert_eq!(node.issue_times.len(), 0);
         assert_eq!(node.responses, 0, "no PR may cross the fabric");
         let scanned: u64 = node.units.iter().map(|u| u.rig.stats().local).sum();
         assert_eq!(scanned, 6);
@@ -979,7 +1052,7 @@ mod tests {
         assert_eq!(outbound.len(), 2, "both remote refs must issue PRs");
         assert!(node.finish.is_some());
         assert_eq!(node.responses, 2);
-        assert!(node.issue_times.is_empty(), "all PRs resolved");
+        assert_eq!(node.issue_times.len(), 0, "all PRs resolved");
         assert!(node.units.iter().all(|u| u.rig.outstanding() == 0));
     }
 }

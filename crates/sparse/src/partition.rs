@@ -22,6 +22,10 @@
 pub struct Partition1D {
     n: u32,
     bounds: Vec<u32>, // len = parts + 1, bounds[0] = 0, bounds[parts] = n
+    /// `owner(b << shift)` for every bucket `b`: where [`Partition1D::owner`]
+    /// starts its scan. A function of `bounds`, so equality is unaffected.
+    buckets: Vec<u32>,
+    shift: u32,
 }
 
 impl Partition1D {
@@ -42,7 +46,7 @@ impl Partition1D {
             acc += base + u32::from(p < extra);
             bounds.push(acc);
         }
-        Partition1D { n, bounds }
+        Self::with_buckets(n, bounds)
     }
 
     /// Builds a partition from explicit boundaries.
@@ -59,7 +63,7 @@ impl Partition1D {
         for w in bounds.windows(2) {
             assert!(w[0] <= w[1], "bounds must be nondecreasing");
         }
-        Partition1D { n, bounds }
+        Self::with_buckets(n, bounds)
     }
 
     /// Splits `[0, n)` so each part holds (approximately) equal *weight*,
@@ -94,7 +98,31 @@ impl Partition1D {
             bounds.push(n);
         }
         bounds.push(n);
-        Partition1D { n, bounds }
+        Self::with_buckets(n, bounds)
+    }
+
+    /// Finishes every constructor: buckets `[0, n)` into at most four
+    /// power-of-two buckets per part and records each bucket's first owner.
+    fn with_buckets(n: u32, bounds: Vec<u32>) -> Self {
+        let max_buckets = 4 * (bounds.len() as u64 - 1);
+        let mut shift = 0;
+        while u64::from(n) >> shift >= max_buckets {
+            shift += 1;
+        }
+        let mut buckets = Vec::with_capacity((u64::from(n) >> shift) as usize + 1);
+        let mut p = 0;
+        for start in (0..n).step_by(1 << shift) {
+            while bounds[p + 1] <= start {
+                p += 1;
+            }
+            buckets.push(p as u32);
+        }
+        Partition1D {
+            n,
+            bounds,
+            buckets,
+            shift,
+        }
     }
 
     /// Total number of elements partitioned.
@@ -120,11 +148,13 @@ impl Partition1D {
     #[inline]
     pub fn owner(&self, idx: u32) -> u32 {
         assert!(idx < self.n, "index {idx} out of partitioned range");
-        // One binary search over bounds: the part whose range contains idx
-        // is the one before the first bound strictly greater than it
-        // (empty parts share a bound and are skipped uniformly).
-        let i = self.bounds.partition_point(|&b| b <= idx);
-        (i - 1) as u32
+        // Start at the owner of idx's bucket's first element and step past
+        // every part that ends at or before idx (empty parts included).
+        let mut p = self.buckets[(idx >> self.shift) as usize] as usize;
+        while self.bounds[p + 1] <= idx {
+            p += 1;
+        }
+        p as u32
     }
 
     /// The half-open element range owned by `part`.
@@ -220,6 +250,55 @@ mod tests {
         assert_eq!(p.part_len(1), 0);
         assert_eq!(p.owner(2), 2);
         assert_eq!(p.owner(1), 0);
+    }
+
+    /// The bucketed `owner` agrees with a binary search over the bounds
+    /// for every idx, including partitions with empty parts, whichever
+    /// constructor built them.
+    #[test]
+    fn owner_matches_a_binary_search_over_bounds() {
+        let check = |p: &Partition1D| {
+            for idx in 0..p.len() {
+                let want = p.bounds.partition_point(|&b| b <= idx) - 1;
+                assert_eq!(
+                    p.owner(idx),
+                    want as u32,
+                    "idx {idx}, bounds {:?}",
+                    p.bounds
+                );
+            }
+        };
+        let has_empty_part = |p: &Partition1D| (0..p.parts()).any(|q| p.part_len(q) == 0);
+        for (n, parts) in [(1, 1), (3, 8), (7, 8), (8, 8), (100, 7), (4_097, 128)] {
+            check(&Partition1D::even(n, parts));
+        }
+        // Many elements per bucket.
+        check(&Partition1D::even(100_003, 3));
+        // Zero-weight runs: one heavy element closes several parts at
+        // once, and an all-zero weight vector leaves every part but the
+        // first empty.
+        let mut w = vec![0u64; 50];
+        w.extend([5; 10]);
+        w.extend([0; 30]);
+        w.push(1_000);
+        w.extend([0; 20]);
+        for parts in [5, 16, 40] {
+            let p = Partition1D::balanced(&w, parts);
+            assert!(has_empty_part(&p), "{parts} parts: {:?}", p.bounds);
+            check(&p);
+        }
+        check(&Partition1D::balanced(&[0; 20], 4));
+        // Empty parts at the start, in the middle and at the end.
+        for bounds in [
+            vec![0, 0, 0, 5, 10],
+            vec![0, 3, 3, 3, 10],
+            vec![0, 4, 10, 10, 10],
+            vec![0, 0, 6, 6, 10, 10],
+        ] {
+            let p = Partition1D::from_bounds(10, bounds);
+            assert!(has_empty_part(&p));
+            check(&p);
+        }
     }
 
     #[test]

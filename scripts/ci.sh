@@ -17,8 +17,9 @@
 # per-layer (`trace`) build, smoke runs of the ext_fault_sweep and
 # ext_trace sections of the `repro` binary, the serial-vs-parallel sweep
 # equivalence suite, a timed serial-vs-parallel sweep smoke via
-# `bench_sweep`, which emits BENCH_sweep.json with serial vs parallel
-# wall-clock (see docs/ARCHITECTURE.md), a timed `bench_engine` smoke
+# `bench_sweep`, whose serial vs parallel wall-clock JSON goes to the
+# BENCH_sweep.ci.json artifact (the committed BENCH_sweep.json is left
+# alone; see docs/ARCHITECTURE.md), a timed `bench_engine` smoke
 # gating events/sec against the committed BENCH_engine.json (>20%
 # regression fails), the in-network reduction invariant tests plus an
 # ext_reduce section smoke (see docs/ARCHITECTURE.md §Handler
@@ -73,8 +74,10 @@ if [[ "$fast" -eq 0 ]]; then
     # count, audit digests included (see docs/ARCHITECTURE.md).
     run cargo test -q -p netsparse-tests --features audit --release --test sweep_parallel
     # Timed serial-vs-parallel repro smoke: asserts byte-equality and
-    # records both wall-clocks in BENCH_sweep.json.
-    run cargo run --release -q -p netsparse-bench --bin bench_sweep -- --scale 0.1
+    # records both wall-clocks in BENCH_sweep.ci.json (archived like
+    # lint_report.json).
+    echo "==> cargo run --release -q -p netsparse-bench --bin bench_sweep -- --scale 0.1 > BENCH_sweep.ci.json"
+    cargo run --release -q -p netsparse-bench --bin bench_sweep -- --scale 0.1 > BENCH_sweep.ci.json
     # Engine-throughput smoke: re-measures events/sec on the canonical
     # point, writes BENCH_engine.ci.json (archived like lint_report.json),
     # and fails if throughput regressed >20% vs the committed

@@ -354,7 +354,6 @@ fn bad_virtual_pools_are_typed_config_errors() {
     for (bad, field) in [
         (pool(0, 128), "concat_impl.physical_queues"),
         (pool(64, 0), "concat_impl.physical_bytes"),
-        (pool(64, cfg.snic.mtu + 1), "concat_impl.physical_bytes"),
     ] {
         cfg.concat_impl = ConcatImpl::Virtual(bad);
         match try_simulate(&cfg, &wl) {
@@ -363,6 +362,28 @@ fn bad_virtual_pools_are_typed_config_errors() {
             }
             other => panic!("{bad:?} must be a typed config error, got {other:?}"),
         }
+    }
+    // A physical CQ one byte over the MTU is oversized, not zero: the
+    // error carries both sizes.
+    let mtu = cfg.snic.mtu;
+    cfg.concat_impl = ConcatImpl::Virtual(pool(64, mtu + 1));
+    match try_simulate(&cfg, &wl) {
+        Err(SimError::Config(
+            e @ ConfigError::ExceedsMtu {
+                what,
+                bytes,
+                mtu: m,
+            },
+        )) => {
+            assert_eq!(
+                (what, bytes, m),
+                ("concat_impl.physical_bytes", mtu + 1, mtu)
+            );
+            let msg = e.to_string();
+            assert!(msg.contains(&format!("{}", mtu + 1)), "{msg}");
+            assert!(msg.contains(&format!("{mtu} B MTU")), "{msg}");
+        }
+        other => panic!("an oversized pool must be a typed config error, got {other:?}"),
     }
 }
 
