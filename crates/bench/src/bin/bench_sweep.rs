@@ -2,7 +2,8 @@
 //! the evaluation twice — once on one worker, once on every available
 //! core — verifies the outputs are byte-identical, and prints a JSON
 //! object with both wall-clocks on stdout (redirect it to a file to keep
-//! it; the committed `BENCH_sweep.json` is one such capture).
+//! it; the committed `BENCH_sweep.json` is one such capture, of
+//! `--scale 0.1` on a 2-vCPU VM).
 //!
 //! The absolute speedup depends on the runner's core count, so the JSON
 //! records the worker count actually used alongside the timings instead

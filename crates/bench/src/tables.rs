@@ -266,11 +266,10 @@ pub fn table7(o: &BenchOpts) -> String {
     for (i, e) in exps.iter().enumerate() {
         let report = &reports[i];
         let tail = report.tail_node();
-        let stats = e.wl.pattern_stats();
-        let su_tail_bytes = stats.per_node[tail].su_received * 4 * k as u64;
+        let su_tail_bytes = e.wl.su_received(tail as u32) * 4 * k as u64;
         let trfc = su_tail_bytes as f64 / report.tail().rx_wire_bytes.max(1) as f64;
-        let sa_prs = sa.node_pr_count(&e.wl, tail as u32);
-        let pr_red = sa_prs as f64 / report.tail().issued.max(1) as f64;
+        let sa_prs = sa.node_pr_counts(&e.wl);
+        let pr_red = sa_prs[tail] as f64 / report.tail().issued.max(1) as f64;
         let p = paper[i];
         let _ = writeln!(
             out,
@@ -282,7 +281,7 @@ pub fn table7(o: &BenchOpts) -> String {
             format!("{:.0}|p:{:.0}", report.tail_goodput() * 100.0, p.3),
             format!("{:.0}|p:{:.0}", report.tail_line_utilization() * 100.0, p.4),
             format!("{:.0}x|p:{:.0}", trfc, p.5),
-            format!("{:.0}|p:{:.0}", sa.tail_goodput(&e.wl, k) * 100.0, p.6),
+            format!("{:.0}|p:{:.0}", sa.tail_goodput_of(&sa_prs, k) * 100.0, p.6),
             format!("{:.1}x|p:{:.1}", pr_red, p.7),
         );
     }

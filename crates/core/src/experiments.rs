@@ -138,9 +138,7 @@ impl Experiment {
 
     /// SUOpt bytes the simulated tail node would have received.
     fn su_tail_bytes(&self, report: &SimReport) -> u64 {
-        let tail = report.tail_node() as u32;
-        let stats = self.wl.pattern_stats();
-        stats.per_node[tail as usize].su_received * 4 * report.k as u64
+        self.wl.su_received(report.tail_node() as u32) * 4 * report.k as u64
     }
 
     /// Full end-to-end SpMM comparison (Figures 13/14/21).
@@ -168,45 +166,7 @@ impl Experiment {
             "cluster K must match the kernel's property width"
         );
         let report = self.run(cfg);
-        let baselines = Baselines::for_line_rate(cfg.link.bandwidth_bps / 1e9);
-        let bw_scale = cfg.link.bandwidth_bps / 400e9;
-        let mut model = ComputeModel::new(engine);
-        model.mem_bw *= bw_scale;
-        model.peak_flops *= bw_scale;
-        let k = cfg.k;
-        let wl = &self.wl;
-        let total_rows: u64 = (0..wl.nodes()).map(|p| wl.rows_of(p) as u64).sum();
-        let t1 = kernel.compute_time(&model, wl.total_nnz(), total_rows);
-        let comp: Vec<f64> = (0..wl.nodes())
-            .map(|p| kernel.compute_time(&model, wl.stream(p).len() as u64, wl.rows_of(p) as u64))
-            .collect();
-        let stats = wl.pattern_stats();
-        let fold_max = |it: Box<dyn Iterator<Item = f64> + '_>| it.fold(0.0f64, f64::max);
-        let t_netsparse = fold_max(Box::new(
-            comp.iter()
-                .enumerate()
-                .map(|(p, &c)| c.max(report.nodes[p].finish.as_secs_f64())),
-        ));
-        let t_su = fold_max(Box::new(comp.iter().enumerate().map(|(p, &c)| {
-            c.max(baselines.su.comm_time(stats.per_node[p].su_received, k))
-        })));
-        let t_sa =
-            fold_max(Box::new(comp.iter().enumerate().map(|(p, &c)| {
-                c.max(baselines.sa.node_comm_time(wl, p as u32, k))
-            })));
-        let t_ideal = fold_max(Box::new(comp.iter().copied()));
-        let tail = report.tail_node();
-        EndToEnd {
-            engine,
-            k,
-            speedup_su: t1 / t_su,
-            speedup_sa: t1 / t_sa,
-            speedup_netsparse: t1 / t_netsparse,
-            speedup_ideal: t1 / t_ideal,
-            tail_comp_s: comp[tail],
-            tail_comm_netsparse_s: report.nodes[tail].finish.as_secs_f64(),
-            tail_comm_sa_s: baselines.sa.node_comm_time(wl, tail as u32, k),
-        }
+        self.end_to_end_with(cfg, engine, kernel, &report)
     }
 
     /// Like [`Experiment::end_to_end`], but reusing an existing simulation
@@ -216,6 +176,16 @@ impl Experiment {
         &self,
         cfg: &ClusterConfig,
         engine: ComputeEngine,
+        report: &SimReport,
+    ) -> EndToEnd {
+        self.end_to_end_with(cfg, engine, SparseKernel::SpMM { k: cfg.k }, report)
+    }
+
+    fn end_to_end_with(
+        &self,
+        cfg: &ClusterConfig,
+        engine: ComputeEngine,
+        kernel: SparseKernel,
         report: &SimReport,
     ) -> EndToEnd {
         let baselines = Baselines::for_line_rate(cfg.link.bandwidth_bps / 1e9);
@@ -230,31 +200,30 @@ impl Experiment {
         let k = cfg.k;
         let wl = &self.wl;
 
-        let total_nnz = wl.total_nnz();
         let total_rows: u64 = (0..wl.nodes()).map(|p| wl.rows_of(p) as u64).sum();
-        let t1 = model.spmm_time(total_nnz, total_rows, k);
-
+        let t1 = kernel.compute_time(&model, wl.total_nnz(), total_rows);
         let comp: Vec<f64> = (0..wl.nodes())
-            .map(|p| model.spmm_time(wl.stream(p).len() as u64, wl.rows_of(p) as u64, k))
+            .map(|p| kernel.compute_time(&model, wl.stream(p).len() as u64, wl.rows_of(p) as u64))
             .collect();
-        let stats = wl.pattern_stats();
+        let sa_comm: Vec<f64> = baselines
+            .sa
+            .node_pr_counts(wl)
+            .into_iter()
+            .map(|prs| baselines.sa.comm_time(prs, k))
+            .collect();
 
-        let fold_max = |it: Box<dyn Iterator<Item = f64> + '_>| it.fold(0.0f64, f64::max);
         // Communication and computation partially overlap: per node the
         // kernel takes max(comp, comm).
-        let t_netsparse = fold_max(Box::new(
+        let kernel_time = |comm: &dyn Fn(usize) -> f64| {
             comp.iter()
                 .enumerate()
-                .map(|(p, &c)| c.max(report.nodes[p].finish.as_secs_f64())),
-        ));
-        let t_su = fold_max(Box::new(comp.iter().enumerate().map(|(p, &c)| {
-            c.max(baselines.su.comm_time(stats.per_node[p].su_received, k))
-        })));
-        let t_sa =
-            fold_max(Box::new(comp.iter().enumerate().map(|(p, &c)| {
-                c.max(baselines.sa.node_comm_time(wl, p as u32, k))
-            })));
-        let t_ideal = fold_max(Box::new(comp.iter().copied()));
+                .map(|(p, &c)| c.max(comm(p)))
+                .fold(0.0f64, f64::max)
+        };
+        let t_netsparse = kernel_time(&|p| report.nodes[p].finish.as_secs_f64());
+        let t_su = kernel_time(&|p| baselines.su.comm_time(wl.su_received(p as u32), k));
+        let t_sa = kernel_time(&|p| sa_comm[p]);
+        let t_ideal = comp.iter().copied().fold(0.0f64, f64::max);
 
         let tail = report.tail_node();
         EndToEnd {
@@ -266,7 +235,7 @@ impl Experiment {
             speedup_ideal: t1 / t_ideal,
             tail_comp_s: comp[tail],
             tail_comm_netsparse_s: report.nodes[tail].finish.as_secs_f64(),
-            tail_comm_sa_s: baselines.sa.node_comm_time(wl, tail as u32, k),
+            tail_comm_sa_s: sa_comm[tail],
         }
     }
 }

@@ -11,7 +11,7 @@
 //! (Table 1), temporal remote-destination locality (Table 4), and
 //! intra-rack sharing potential (§3).
 
-use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use crate::csr::CsrMatrix;
 use crate::partition::Partition1D;
@@ -160,30 +160,32 @@ impl CommWorkload {
         m
     }
 
+    /// Properties `node` receives under the SU (dense all-to-all)
+    /// schedule: every column outside its own part.
+    pub fn su_received(&self, node: u32) -> u64 {
+        u64::from(self.n_cols() - self.partition.part_len(node))
+    }
+
     /// Computes SU/SA transfer statistics (paper Table 1 and §3).
     pub fn pattern_stats(&self) -> PatternStats {
-        let nodes = self.nodes();
-        let n_cols = self.n_cols();
-        let mut per_node = Vec::with_capacity(nodes as usize);
-        for p in 0..nodes {
-            let mut unique: HashSet<u32> = HashSet::new();
-            let mut remote_refs = 0u64;
-            for &idx in self.stream(p) {
-                if !self.partition.is_local(p, idx) {
-                    remote_refs += 1;
-                    unique.insert(idx);
-                }
-            }
-            per_node.push(NodePattern {
-                nnz: self.stream(p).len() as u64,
-                remote_refs,
-                unique_remote: unique.len() as u64,
-                su_received: (n_cols - self.partition.part_len(p)) as u64,
-            });
-        }
+        let mut unique = ColumnSet::new(self.n_cols());
+        let per_node = (0..self.nodes())
+            .map(|p| {
+                let stream = self.stream(p);
+                let remote_refs = unique.insert_outside(stream, self.partition.range(p));
+                let node = NodePattern {
+                    nnz: stream.len() as u64,
+                    remote_refs,
+                    unique_remote: unique.members().len() as u64,
+                    su_received: self.su_received(p),
+                };
+                unique.clear();
+                node
+            })
+            .collect();
         PatternStats {
-            nodes,
-            n_cols,
+            nodes: self.nodes(),
+            n_cols: self.n_cols(),
             per_node,
         }
     }
@@ -193,22 +195,31 @@ impl CommWorkload {
     /// 64). Returns 0 if no node issues a full window of remote PRs.
     pub fn dest_locality(&self, window: usize) -> f64 {
         assert!(window > 0, "window must be nonzero");
-        let mut total_unique = 0u64;
-        let mut windows = 0u64;
-        let mut dests: Vec<u32> = Vec::with_capacity(window);
+        // marks[owner] is the last window that counted `owner`; every
+        // window, full or dropped, gets a fresh number.
+        let mut marks = vec![0u64; self.nodes() as usize];
+        let mut current = 0u64;
+        let (mut total_unique, mut windows) = (0u64, 0u64);
         for p in 0..self.nodes() {
-            dests.clear();
+            let local = self.partition.range(p);
+            // A stream's last, partial window is dropped.
+            let (mut filled, mut unique) = (0usize, 0u64);
+            current += 1;
             for &idx in self.stream(p) {
-                if !self.partition.is_local(p, idx) {
-                    dests.push(self.owner(idx));
-                    if dests.len() == window {
-                        let mut uniq = dests.clone();
-                        uniq.sort_unstable();
-                        uniq.dedup();
-                        total_unique += uniq.len() as u64;
-                        windows += 1;
-                        dests.clear();
-                    }
+                if local.contains(&idx) {
+                    continue;
+                }
+                let mark = &mut marks[self.owner(idx) as usize];
+                if *mark != current {
+                    *mark = current;
+                    unique += 1;
+                }
+                filled += 1;
+                if filled == window {
+                    total_unique += unique;
+                    windows += 1;
+                    (filled, unique) = (0, 0);
+                    current += 1;
                 }
             }
         }
@@ -225,28 +236,140 @@ impl CommWorkload {
     /// useful to more than one node in the same group").
     pub fn rack_sharing(&self, rack_size: u32) -> f64 {
         assert!(rack_size > 0, "rack size must be nonzero");
-        // (rack, idx) -> number of distinct nodes in that rack needing idx.
-        let mut group_counts: HashMap<(u32, u32), u32> = HashMap::new();
-        for p in 0..self.nodes() {
-            let rack = p / rack_size;
-            let mut seen: HashSet<u32> = HashSet::new();
-            for &idx in self.stream(p) {
-                let owner = self.owner(idx);
-                if owner != p && owner / rack_size != rack && seen.insert(idx) {
-                    *group_counts.entry((rack, idx)).or_insert(0) += 1;
+        let (nodes, n) = (self.nodes(), self.n_cols());
+        // One node's distinct inter-rack columns, and the columns at least
+        // one and at least two of its rack-mates need.
+        let mut needed = ColumnSet::new(n);
+        let (mut once, mut twice) = (ColumnSet::new(n), ColumnSet::new(n));
+        // Distinct (node, inter-rack column) needs, and how many of them
+        // no rack-mate shares.
+        let (mut total, mut alone) = (0u64, 0u64);
+        for first in (0..nodes).step_by(rack_size as usize) {
+            let end = first.saturating_add(rack_size).min(nodes);
+            // Racks are runs of nodes, so their columns are one range.
+            let rack_cols = self.partition.range(first).start..self.partition.range(end - 1).end;
+            for p in first..end {
+                needed.insert_outside(self.stream(p), rack_cols.clone());
+                for &idx in needed.members() {
+                    if once.insert(idx) {
+                        alone += 1;
+                    } else if twice.insert(idx) {
+                        alone -= 1;
+                    }
                 }
+                total += needed.members().len() as u64;
+                needed.clear();
             }
+            once.clear();
+            twice.clear();
         }
-        let total: u64 = group_counts.values().map(|&c| c as u64).sum();
         if total == 0 {
             return 0.0;
         }
-        let shared: u64 = group_counts
-            .values()
-            .filter(|&&c| c >= 2)
-            .map(|&c| c as u64)
-            .sum();
-        shared as f64 / total as f64
+        (total - alone) as f64 / total as f64
+    }
+}
+
+/// Length of the blocks [`gather_outside`] fills.
+pub const GATHER_BLOCK: usize = 256;
+
+/// Appends `key(idx)` for every idx of `piece` outside `local` to `block`,
+/// from `block[len]` on, in stream order, and returns the new length.
+///
+/// No idx takes a branch: each is stored and only a remote one advances
+/// the length. This beats a per-idx `!local.contains` branch, which
+/// mispredicts on streams that mix local and remote idxs (measured in
+/// `docs/ARCHITECTURE.md` §Analytic baselines). `ColumnSet` and SAOpt's
+/// pair count both filter through it.
+///
+/// # Panics
+///
+/// Panics if `len + piece.len()` exceeds [`GATHER_BLOCK`].
+#[inline]
+pub fn gather_outside<T>(
+    block: &mut [T; GATHER_BLOCK],
+    mut len: usize,
+    piece: &[u32],
+    local: &Range<u32>,
+    key: impl Fn(u32) -> T,
+) -> usize {
+    assert!(
+        len + piece.len() <= GATHER_BLOCK,
+        "piece overflows the block"
+    );
+    let (start, width) = (local.start, local.end - local.start);
+    for &idx in piece {
+        // len < GATHER_BLOCK here, so `% GATHER_BLOCK` only drops the
+        // bounds check; the wrapping test is `!local.contains(&idx)`.
+        block[len % GATHER_BLOCK] = key(idx);
+        len += usize::from(idx.wrapping_sub(start) >= width);
+    }
+    len
+}
+
+/// A set of column idxs over `[0, n)` that empties in time proportional to
+/// its size: a bitset for membership plus the list of members. The
+/// analytic passes allocate one per call and reuse it for every node, so
+/// deduplicating a reference costs one bit test.
+#[derive(Debug, Clone)]
+pub struct ColumnSet {
+    words: Vec<u64>,
+    members: Vec<u32>,
+}
+
+impl ColumnSet {
+    /// An empty set over the columns `[0, n)`.
+    pub fn new(n: u32) -> Self {
+        ColumnSet {
+            words: vec![0; (n as usize).div_ceil(64)],
+            members: Vec::new(),
+        }
+    }
+
+    /// Adds `idx`; returns whether it was absent.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `idx` is outside the set's column range.
+    #[inline]
+    pub(crate) fn insert(&mut self, idx: u32) -> bool {
+        let word = &mut self.words[(idx >> 6) as usize];
+        let bit = 1u64 << (idx & 63);
+        let absent = *word & bit == 0;
+        if absent {
+            *word |= bit;
+            self.members.push(idx);
+        }
+        absent
+    }
+
+    /// Inserts every idx of `stream` outside `local` (a node's remote
+    /// references, when `local` is its part) and returns how many there
+    /// were, repeats included.
+    pub fn insert_outside(&mut self, stream: &[u32], local: Range<u32>) -> u64 {
+        let mut block = [0u32; GATHER_BLOCK];
+        let mut outside = 0;
+        for chunk in stream.chunks(GATHER_BLOCK) {
+            let n = gather_outside(&mut block, 0, chunk, &local, |idx| idx);
+            outside += n as u64;
+            for &idx in &block[..n] {
+                self.insert(idx);
+            }
+        }
+        outside
+    }
+
+    /// The members, in insertion order.
+    pub fn members(&self) -> &[u32] {
+        &self.members
+    }
+
+    /// Removes every member.
+    pub fn clear(&mut self) {
+        for &idx in &self.members {
+            self.words[(idx >> 6) as usize] = 0;
+        }
+        self.members.clear();
     }
 }
 
@@ -339,6 +462,7 @@ impl PatternStats {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use netsparse_desim::SplitMix64;
 
     /// Build the paper's Figure 1 example: 8x8 matrix, 4 nodes, nonzeros
     /// a..g with the depicted coordinates.
@@ -428,6 +552,214 @@ mod tests {
             vec![vec![16, 17], vec![], vec![], vec![]],
         );
         assert_eq!(wl.rack_sharing(2), 0.0);
+    }
+
+    /// The hash-set formulations the passes above replaced, kept as
+    /// reference models.
+    mod reference {
+        use super::*;
+        use std::collections::{HashMap, HashSet};
+
+        pub fn pattern_stats(wl: &CommWorkload) -> PatternStats {
+            let nodes = wl.nodes();
+            let n_cols = wl.n_cols();
+            let mut per_node = Vec::with_capacity(nodes as usize);
+            for p in 0..nodes {
+                let mut unique: HashSet<u32> = HashSet::new();
+                let mut remote_refs = 0u64;
+                for &idx in wl.stream(p) {
+                    if !wl.partition.is_local(p, idx) {
+                        remote_refs += 1;
+                        unique.insert(idx);
+                    }
+                }
+                per_node.push(NodePattern {
+                    nnz: wl.stream(p).len() as u64,
+                    remote_refs,
+                    unique_remote: unique.len() as u64,
+                    su_received: (n_cols - wl.partition.part_len(p)) as u64,
+                });
+            }
+            PatternStats {
+                nodes,
+                n_cols,
+                per_node,
+            }
+        }
+
+        pub fn dest_locality(wl: &CommWorkload, window: usize) -> f64 {
+            let mut total_unique = 0u64;
+            let mut windows = 0u64;
+            let mut dests: Vec<u32> = Vec::with_capacity(window);
+            for p in 0..wl.nodes() {
+                dests.clear();
+                for &idx in wl.stream(p) {
+                    if !wl.partition.is_local(p, idx) {
+                        dests.push(wl.owner(idx));
+                        if dests.len() == window {
+                            let mut uniq = dests.clone();
+                            uniq.sort_unstable();
+                            uniq.dedup();
+                            total_unique += uniq.len() as u64;
+                            windows += 1;
+                            dests.clear();
+                        }
+                    }
+                }
+            }
+            if windows == 0 {
+                0.0
+            } else {
+                total_unique as f64 / windows as f64
+            }
+        }
+
+        pub fn rack_sharing(wl: &CommWorkload, rack_size: u32) -> f64 {
+            let mut group_counts: HashMap<(u32, u32), u32> = HashMap::new();
+            for p in 0..wl.nodes() {
+                let rack = p / rack_size;
+                let mut seen: HashSet<u32> = HashSet::new();
+                for &idx in wl.stream(p) {
+                    let owner = wl.owner(idx);
+                    if owner != p && owner / rack_size != rack && seen.insert(idx) {
+                        *group_counts.entry((rack, idx)).or_insert(0) += 1;
+                    }
+                }
+            }
+            let total: u64 = group_counts.values().map(|&c| c as u64).sum();
+            if total == 0 {
+                return 0.0;
+            }
+            let shared: u64 = group_counts
+                .values()
+                .filter(|&&c| c >= 2)
+                .map(|&c| c as u64)
+                .sum();
+            shared as f64 / total as f64
+        }
+    }
+
+    /// Random workloads over the shapes the passes must get right: empty
+    /// parts, fewer columns than parts, streams that are empty, all local
+    /// or all remote, and nodes that own no rows.
+    fn random_workloads(seed: u64, count: usize) -> Vec<CommWorkload> {
+        let mut rng = SplitMix64::new(seed);
+        (0..count)
+            .map(|case| {
+                let parts = rng.range_u32_inclusive(1, 12);
+                let n = if case % 4 == 0 {
+                    rng.range_u32_inclusive(1, parts)
+                } else {
+                    rng.range_u32_inclusive(1, 400)
+                };
+                let partition = if case % 2 == 0 {
+                    let mut bounds: Vec<u32> =
+                        (1..parts).map(|_| rng.range_u32_inclusive(0, n)).collect();
+                    bounds.push(0);
+                    bounds.push(n);
+                    bounds.sort_unstable();
+                    Partition1D::from_bounds(n, bounds)
+                } else {
+                    Partition1D::even(n, parts)
+                };
+                let streams = (0..parts)
+                    .map(|p| {
+                        let own = partition.range(p);
+                        let own_len = own.end - own.start;
+                        let len = rng.range_u32_inclusive(0, 300);
+                        // A narrow pool makes repeats common.
+                        let pool = rng.range_u32_inclusive(1, n);
+                        let offset = rng.range_u32(0, n);
+                        let kind = rng.next_range(4);
+                        (0..len)
+                            .filter_map(|_| match kind {
+                                0 if own_len > 0 => Some(rng.range_u32(own.start, own.end)),
+                                1 if own_len < n => {
+                                    let x = rng.range_u32(0, n - own_len);
+                                    Some(if x >= own.start { x + own_len } else { x })
+                                }
+                                0 | 1 => None,
+                                _ => Some((offset + rng.range_u32(0, pool)) % n),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let rows = (0..parts).map(|_| rng.range_u32_inclusive(0, 20)).collect();
+                CommWorkload::from_streams(partition, rows, streams)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn passes_match_the_hash_set_reference_models() {
+        let workloads = random_workloads(0x5EED_C0DE, 300);
+        let shape = |f: &dyn Fn(&CommWorkload) -> bool| workloads.iter().filter(|wl| f(wl)).count();
+        let stats = |wl: &CommWorkload| reference::pattern_stats(wl).per_node;
+        assert!(shape(&|wl| (0..wl.nodes()).any(|p| wl.partition.part_len(p) == 0)) > 50);
+        assert!(shape(&|wl| wl.n_cols() < wl.nodes()) > 20);
+        assert!(shape(&|wl| stats(wl).iter().any(|n| n.nnz > 0 && n.remote_refs == 0)) > 50);
+        assert!(
+            shape(&|wl| stats(wl)
+                .iter()
+                .any(|n| n.nnz > 0 && n.remote_refs == n.nnz))
+                > 50
+        );
+        assert!(shape(&|wl| (0..wl.nodes()).any(|p| wl.rows_of(p) == 0)) > 50);
+        for (case, wl) in workloads.iter().enumerate() {
+            assert_eq!(
+                wl.pattern_stats(),
+                reference::pattern_stats(wl),
+                "case {case}"
+            );
+            for window in [1, 3, 64] {
+                assert_eq!(
+                    wl.dest_locality(window).to_bits(),
+                    reference::dest_locality(wl, window).to_bits(),
+                    "case {case}, window {window}"
+                );
+            }
+            for rack in [1, 2, 3, 5, wl.nodes(), wl.nodes() + 1, u32::MAX] {
+                assert_eq!(
+                    wl.rack_sharing(rack).to_bits(),
+                    reference::rack_sharing(wl, rack).to_bits(),
+                    "case {case}, rack {rack}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn column_set_empties_and_refills() {
+        let mut set = ColumnSet::new(130);
+        for idx in [129, 0, 64, 63, 0, 129] {
+            set.insert(idx);
+        }
+        assert_eq!(set.members(), &[129, 0, 64, 63]);
+        set.clear();
+        assert!(set.members().is_empty());
+        assert!(set.insert(64) && !set.insert(64) && set.insert(65));
+    }
+
+    #[test]
+    fn gather_outside_appends_remote_keys_in_order() {
+        let mut block = [0u64; GATHER_BLOCK];
+        // The part's ends: 2 is local, 6 is not.
+        let n = gather_outside(&mut block, 0, &[5, 1, 6, 2, 9, 4, 0], &(2..6), u64::from);
+        assert_eq!(&block[..n], &[1, 6, 9, 0]);
+        let n = gather_outside(&mut block, n, &[7, 3], &(2..6), |idx| {
+            1 << 32 | u64::from(idx)
+        });
+        assert_eq!(&block[..n], &[1, 6, 9, 0, 1 << 32 | 7]);
+        // A piece may fill the block, but not overflow it.
+        let all = [9u32; GATHER_BLOCK];
+        assert_eq!(
+            gather_outside(&mut block, 0, &all, &(0..0), u64::from),
+            GATHER_BLOCK
+        );
+        let overflow = std::panic::catch_unwind(move || {
+            gather_outside(&mut [0u32; GATHER_BLOCK], 1, &all, &(0..0), |idx| idx)
+        });
+        assert!(overflow.is_err());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod kernels;
 pub mod partition;
 pub mod suite;
 
-pub use comm::CommWorkload;
+pub use comm::{ColumnSet, CommWorkload};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use partition::Partition1D;

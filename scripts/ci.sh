@@ -18,8 +18,9 @@
 # ext_trace sections of the `repro` binary, the serial-vs-parallel sweep
 # equivalence suite, a timed serial-vs-parallel sweep smoke via
 # `bench_sweep`, whose serial vs parallel wall-clock JSON goes to the
-# BENCH_sweep.ci.json artifact (the committed BENCH_sweep.json is left
-# alone; see docs/ARCHITECTURE.md), a timed `bench_engine` smoke
+# BENCH_sweep.ci.json artifact (the committed BENCH_sweep.json, the same
+# command's output on a 2-vCPU VM, is left alone; see
+# docs/ARCHITECTURE.md), a timed `bench_engine` smoke
 # gating events/sec against the committed BENCH_engine.json (>20%
 # regression fails), the in-network reduction invariant tests plus an
 # ext_reduce section smoke (see docs/ARCHITECTURE.md §Handler

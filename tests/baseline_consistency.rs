@@ -84,6 +84,92 @@ fn saopt_pr_counts_bound_by_refs_and_unique() {
     }
 }
 
+/// The analytic layer's outputs on two inputs, pinned from the hash-set
+/// implementation the column-bitset passes replaced: queen reuses its
+/// remote columns heavily, europe hardly at all.
+#[test]
+fn analytic_outputs_match_pinned_values() {
+    struct Pinned {
+        matrix: SuiteMatrix,
+        /// `PatternStats` totals: nnz, remote refs, unique remote, SU
+        /// transfers.
+        totals: [u64; 4],
+        /// SAOpt per-node PR counts: their sum and a digest of the list.
+        prs: (u64, u64),
+        /// `f64::to_bits` of the SAOpt kernel time, the SAOpt tail
+        /// goodput, the hybrid kernel time, rack sharing (racks of 8) and
+        /// destination locality (windows of 64).
+        floats: [u64; 5],
+        /// `f64::to_bits` of the hybrid at popularity thresholds 4, 1 and
+        /// 0: queen broadcasts at the last two, europe at all three.
+        hybrid_at: [u64; 3],
+    }
+    let pins = [
+        Pinned {
+            matrix: SuiteMatrix::Queen,
+            totals: [336_791, 191_380, 7_496, 554_590],
+            prs: (57_883, 0xae12_69dc_906e_af51),
+            floats: [
+                0x3f29_058a_837c_20e3,
+                0x3faa_36e2_eb1c_432d,
+                0x3f26_8eb7_be47_cecc,
+                0x3fd5_2417_806b_6fa2,
+                0x3ff0_bb2e_cbb2_ecbb,
+            ],
+            hybrid_at: [
+                0x3f29_058a_837c_20e3,
+                0x3f24_a82d_b113_32e3,
+                0x3ef8_3a9e_b65d_d063,
+            ],
+        },
+        Pinned {
+            matrix: SuiteMatrix::Europe,
+            totals: [247_523, 24_331, 23_499, 15_102_611],
+            prs: (24_329, 0x853a_d1d4_8800_a1f9),
+            floats: [
+                0x3f26_6673_d25f_b3c5,
+                0x3faa_36e2_eb1c_432d,
+                0x3f25_493d_60b3_9efe,
+                0x3fb9_c4cf_802b_35e7,
+                0x401b_76e8_37f4_cf0a,
+            ],
+            hybrid_at: [
+                0x3f25_d62b_1a5f_fd97,
+                0x3f24_c305_a3ad_ef92,
+                0x3f1c_83b9_f66a_dcc1,
+            ],
+        },
+    ];
+    let b = Baselines::for_line_rate(100.0);
+    for pin in pins {
+        let wl = &exp(pin.matrix).wl;
+        let s = wl.pattern_stats();
+        let totals = [
+            s.total_nnz(),
+            s.total_remote_refs(),
+            s.total_unique_remote(),
+            s.total_su_transfers(),
+        ];
+        assert_eq!(totals, pin.totals, "{}", pin.matrix);
+        let counts = b.sa.node_pr_counts(wl);
+        let digest = counts
+            .iter()
+            .fold(0u64, |h, &c| h.wrapping_mul(1_000_003) ^ c);
+        assert_eq!((counts.iter().sum(), digest), pin.prs, "{}", pin.matrix);
+        let hybrid = netsparse_accel::HybridOptModel::new(b.sa);
+        let floats = [
+            b.sa.kernel_comm_time(wl, 16),
+            b.sa.tail_goodput(wl, 16),
+            hybrid.kernel_comm_time(wl, 16),
+            wl.rack_sharing(8),
+            wl.dest_locality(64),
+        ];
+        assert_eq!(floats.map(f64::to_bits), pin.floats, "{}", pin.matrix);
+        let hybrid_at = [4, 1, 0].map(|t| hybrid.comm_time_at(wl, 16, t).to_bits());
+        assert_eq!(hybrid_at, pin.hybrid_at, "{}", pin.matrix);
+    }
+}
+
 #[test]
 fn comparison_struct_is_self_consistent() {
     let e = exp(SuiteMatrix::Europe);
