@@ -596,6 +596,50 @@ mod tests {
         .generate()
     }
 
+    /// FNV-1a over the column count, each node's row count and every idx
+    /// of every stream, in node order.
+    fn stream_digest(wl: &CommWorkload) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        };
+        mix(u64::from(wl.n_cols()));
+        for p in 0..wl.nodes() {
+            mix(u64::from(wl.rows_of(p)));
+            mix(wl.stream(p).len() as u64);
+            for &idx in wl.stream(p) {
+                mix(u64::from(idx));
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn streams_match_pinned_digests() {
+        // Every stream of the five matrices on the default 128-node,
+        // rack-of-16 cluster at two seeds. A change to the generator that
+        // is meant to be a pure speedup must keep these bit for bit.
+        let pinned: [(SuiteMatrix, u64, u64); 10] = [
+            (SuiteMatrix::Arabic, 2025, 0x9ED7_0085_1D0D_EEFA),
+            (SuiteMatrix::Europe, 2025, 0xB5EB_A367_C85B_D49A),
+            (SuiteMatrix::Queen, 2025, 0x51F3_97E1_275D_0D5C),
+            (SuiteMatrix::Stokes, 2025, 0xC000_1BDF_529F_09B8),
+            (SuiteMatrix::Uk, 2025, 0x079A_47AD_6AC6_E6E8),
+            (SuiteMatrix::Arabic, 7, 0x7F0B_D215_22AF_16F8),
+            (SuiteMatrix::Europe, 7, 0x0EB8_3207_5B21_356E),
+            (SuiteMatrix::Queen, 7, 0xD1A9_B58F_7158_1441),
+            (SuiteMatrix::Stokes, 7, 0xE643_D8E3_1A08_0C01),
+            (SuiteMatrix::Uk, 7, 0x0B24_89DD_5850_4432),
+        ];
+        let got: Vec<_> = pinned
+            .iter()
+            .map(|&(m, seed, _)| (m, seed, stream_digest(&m.workload(0.1, seed))))
+            .collect();
+        assert_eq!(got, pinned, "generated streams changed");
+    }
+
     #[test]
     fn generator_is_deterministic() {
         let a = tiny(SuiteMatrix::Arabic);
