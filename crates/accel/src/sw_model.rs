@@ -141,9 +141,15 @@ impl SaOptModel {
 
     /// The kernel's communication time: the slowest node.
     pub fn kernel_comm_time(&self, wl: &CommWorkload, k: u32) -> f64 {
-        self.node_pr_counts(wl)
-            .into_iter()
-            .map(|prs| self.comm_time(prs, k))
+        self.kernel_comm_time_of(&self.node_pr_counts(wl), k)
+    }
+
+    /// [`SaOptModel::kernel_comm_time`] from every node's PR count
+    /// ([`SaOptModel::node_pr_counts`]).
+    pub fn kernel_comm_time_of(&self, node_prs: &[u64], k: u32) -> f64 {
+        node_prs
+            .iter()
+            .map(|&prs| self.comm_time(prs, k))
             .fold(0.0, f64::max)
     }
 

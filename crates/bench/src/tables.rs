@@ -268,7 +268,7 @@ pub fn table7(o: &BenchOpts) -> String {
         let tail = report.tail_node();
         let su_tail_bytes = e.wl.su_received(tail as u32) * 4 * k as u64;
         let trfc = su_tail_bytes as f64 / report.tail().rx_wire_bytes.max(1) as f64;
-        let sa_prs = sa.node_pr_counts(&e.wl);
+        let sa_prs = e.sa_pr_counts(&sa);
         let pr_red = sa_prs[tail] as f64 / report.tail().issued.max(1) as f64;
         let p = paper[i];
         let _ = writeln!(

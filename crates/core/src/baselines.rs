@@ -63,10 +63,22 @@ impl CommComparison {
     /// Builds the comparison from the analytic baselines and a simulation
     /// report.
     pub fn new(baselines: &Baselines, wl: &CommWorkload, report: &SimReport) -> Self {
+        Self::with_sa_prs(baselines, wl, report, &baselines.sa.node_pr_counts(wl))
+    }
+
+    /// [`CommComparison::new`], given SAOpt's PR count of every node
+    /// ([`SaOptModel::node_pr_counts`]). The counts depend only on the
+    /// workload and SAOpt's core count, so one count serves every K.
+    pub fn with_sa_prs(
+        baselines: &Baselines,
+        wl: &CommWorkload,
+        report: &SimReport,
+        sa_prs: &[u64],
+    ) -> Self {
         CommComparison {
             k: report.k,
             su_time: baselines.su.kernel_comm_time(wl, report.k),
-            sa_time: baselines.sa.kernel_comm_time(wl, report.k),
+            sa_time: baselines.sa.kernel_comm_time_of(sa_prs, report.k),
             netsparse_time: report.comm_time_s(),
         }
     }

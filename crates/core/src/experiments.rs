@@ -7,7 +7,10 @@
 //! baselines, or both. The bench crate's binaries do the sweeping and
 //! table formatting; the building blocks live here.
 
-use netsparse_accel::{ComputeEngine, ComputeModel};
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
+use netsparse_accel::{ComputeEngine, ComputeModel, SaOptModel};
 use netsparse_netsim::Topology;
 use netsparse_sparse::suite::SuiteConfig;
 use netsparse_sparse::{CommWorkload, SuiteMatrix};
@@ -61,16 +64,25 @@ impl SparseKernel {
 pub struct Experiment {
     /// Which benchmark matrix.
     pub matrix: SuiteMatrix,
-    /// The generated communication workload.
+    /// The generated communication workload. The experiment caches
+    /// results derived from it, so it is not meant to change.
     pub wl: CommWorkload,
+    /// SAOpt's per-node PR counts and the core count they were made for,
+    /// counted on first use: they depend only on `wl` and the cores.
+    sa_prs: OnceLock<(u32, Vec<u64>)>,
 }
 
 impl Experiment {
     /// Generates `matrix` for a 128-node, rack-of-16 cluster at `scale`.
     pub fn new(matrix: SuiteMatrix, scale: f64, seed: u64) -> Self {
+        Self::of(matrix, matrix.workload(scale, seed))
+    }
+
+    fn of(matrix: SuiteMatrix, wl: CommWorkload) -> Self {
         Experiment {
             matrix,
-            wl: matrix.workload(scale, seed),
+            wl,
+            sa_prs: OnceLock::new(),
         }
     }
 
@@ -82,16 +94,29 @@ impl Experiment {
         scale: f64,
         seed: u64,
     ) -> Self {
-        Experiment {
+        let wl = SuiteConfig {
             matrix,
-            wl: SuiteConfig {
-                matrix,
-                nodes,
-                rack_size,
-                scale,
-                seed,
-            }
-            .generate(),
+            nodes,
+            rack_size,
+            scale,
+            seed,
+        }
+        .generate();
+        Self::of(matrix, wl)
+    }
+
+    /// SAOpt's PR count of every node under `sa`
+    /// ([`SaOptModel::node_pr_counts`]). The counts of the first core
+    /// count asked for are made once and kept; another core count is
+    /// counted afresh.
+    pub fn sa_pr_counts(&self, sa: &SaOptModel) -> Cow<'_, [u64]> {
+        let (cores, prs) = self
+            .sa_prs
+            .get_or_init(|| (sa.cores, sa.node_pr_counts(&self.wl)));
+        if *cores == sa.cores {
+            Cow::Borrowed(prs)
+        } else {
+            Cow::Owned(sa.node_pr_counts(&self.wl))
         }
     }
 
@@ -112,7 +137,8 @@ impl Experiment {
     pub fn compare(&self, cfg: &ClusterConfig) -> (CommComparison, SimReport) {
         let report = self.run(cfg);
         let baselines = Baselines::for_line_rate(cfg.link.bandwidth_bps / 1e9);
-        let cmp = CommComparison::new(&baselines, &self.wl, &report);
+        let sa_prs = self.sa_pr_counts(&baselines.sa);
+        let cmp = CommComparison::with_sa_prs(&baselines, &self.wl, &report, &sa_prs);
         (cmp, report)
     }
 
@@ -205,11 +231,10 @@ impl Experiment {
         let comp: Vec<f64> = (0..wl.nodes())
             .map(|p| kernel.compute_time(&model, wl.stream(p).len() as u64, wl.rows_of(p) as u64))
             .collect();
-        let sa_comm: Vec<f64> = baselines
-            .sa
-            .node_pr_counts(wl)
-            .into_iter()
-            .map(|prs| baselines.sa.comm_time(prs, k))
+        let sa_comm: Vec<f64> = self
+            .sa_pr_counts(&baselines.sa)
+            .iter()
+            .map(|&prs| baselines.sa.comm_time(prs, k))
             .collect();
 
         // Communication and computation partially overlap: per node the
@@ -312,6 +337,26 @@ mod tests {
         assert!(report.functional_check_passed);
         assert!(cmp.netsparse_over_su() > 0.0);
         assert!(cmp.sa_over_su() > 0.0);
+    }
+
+    #[test]
+    fn saopt_counts_are_made_once_per_core_count() {
+        let e = tiny_experiment();
+        let cfg = tiny_cfg(16);
+        let sa = Baselines::for_line_rate(cfg.link.bandwidth_bps / 1e9).sa;
+        let fresh = sa.node_pr_counts(&e.wl);
+        assert!(matches!(e.sa_pr_counts(&sa), Cow::Borrowed(c) if c == fresh.as_slice()));
+        // Another core count is counted afresh, not served from the cache.
+        let few = SaOptModel { cores: 3, ..sa };
+        let counted = e.sa_pr_counts(&few);
+        assert!(matches!(counted, Cow::Owned(_)));
+        assert_eq!(*counted, few.node_pr_counts(&e.wl));
+        assert_ne!(*counted, fresh);
+        // The cached counts give `CommComparison::new`'s SAOpt time.
+        let (cmp, report) = e.compare(&cfg);
+        let baselines = Baselines::for_line_rate(cfg.link.bandwidth_bps / 1e9);
+        let direct = CommComparison::new(&baselines, &e.wl, &report);
+        assert_eq!(cmp.sa_time.to_bits(), direct.sa_time.to_bits());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 
 use netsparse_desim::{Engine, Histogram, LossProcess, Reservoir, Scheduler, SimTime, SplitMix64};
 use netsparse_netsim::{Element, LinkParams};
-use netsparse_snic::{ConcatPacket, PrKind};
-use netsparse_sparse::CommWorkload;
+use netsparse_snic::{ConcatPacket, IdxFilter, PrKind};
+use netsparse_sparse::{ColumnSet, CommWorkload};
 
 #[cfg(feature = "trace")]
 use netsparse_desim::trace::{
@@ -387,16 +387,22 @@ impl<'a> World<'a> {
             .unwrap_or(0);
         let mut functional = true;
         let payload = u64::from(self.shared.payload);
+        // One column set, refilled per node: the remote idxs its stream
+        // references, which its Idx Filter must hold exactly.
+        let mut needed = ColumnSet::new(self.wl.n_cols());
         let nodes: Vec<NodeReport> = self
             .nodes
             .iter()
             .enumerate()
             .map(|(p, n)| {
-                if n.filter != n.needed {
+                let p32 = p as u32;
+                needed.insert_outside(self.wl.stream(p32), self.wl.partition().range(p32));
+                if !fetched_exactly(&n.filter, &needed) {
                     functional = false;
                 }
+                needed.clear();
                 let mut r = NodeReport {
-                    idxs_scanned: self.wl.stream(p as u32).len() as u64,
+                    idxs_scanned: self.wl.stream(p32).len() as u64,
                     responses: n.responses,
                     duplicate_responses: n.dup_responses,
                     rx_payload_bytes: n.responses * payload,
@@ -559,4 +565,50 @@ fn drive(mut world: World<'_>) -> Result<SimReport, SimError> {
     })?;
     let digest = engine.audit_digest();
     Ok(world.into_report(engine.processed(), digest))
+}
+
+/// The functional check of one node: its Idx Filter holds exactly the
+/// remote idxs its stream references. Equal counts plus every needed idx
+/// set is set equality.
+fn fetched_exactly(filter: &IdxFilter, needed: &ColumnSet) -> bool {
+    filter.len() == needed.members().len() as u64
+        && needed.members().iter().all(|&idx| filter.contains(idx))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn functional_check_is_set_equality() {
+        let mut needed = ColumnSet::new(10_000);
+        // A stream of 12 references to 6 remote idxs; 100..200 is local.
+        needed.insert_outside(
+            &[7, 150, 4_096, 7, 9_999, 64, 120, 4_096, 63, 3, 7, 199],
+            100..200,
+        );
+        assert_eq!(needed.members().len(), 6);
+        let filled = |idxs: &[u32]| {
+            let mut f = IdxFilter::new(10_000);
+            for &i in idxs {
+                f.insert(i);
+            }
+            f
+        };
+        let exact = [3, 7, 63, 64, 4_096, 9_999];
+        assert!(fetched_exactly(&filled(&exact), &needed), "equal sets");
+        assert!(
+            !fetched_exactly(&filled(&exact[1..]), &needed),
+            "one needed idx missing"
+        );
+        assert!(
+            !fetched_exactly(&filled(&[3, 7, 63, 64, 4_096, 9_999, 5_000]), &needed),
+            "one idx fetched that was never needed"
+        );
+        // Same count, different sets: the membership test decides.
+        assert!(!fetched_exactly(
+            &filled(&[3, 7, 63, 64, 4_096, 5_000]),
+            &needed
+        ));
+    }
 }

@@ -149,7 +149,7 @@ pub(crate) struct NodeState {
     pub(crate) id: u32,
     pub(crate) units: Vec<ClientUnit>,
     /// The Idx Filter: the distinct idxs a response has arrived for (the
-    /// functional check compares it against `needed`).
+    /// functional check compares it against the stream's remote idxs).
     pub(crate) filter: IdxFilter,
     /// The NIC egress handler pipeline (terminal concat stage only).
     pub(crate) pipeline: Pipeline,
@@ -168,9 +168,6 @@ pub(crate) struct NodeState {
     pub(crate) last_dup: u64,
     pub(crate) last_resp: u64,
     pub(crate) finish: Option<SimTime>,
-    /// Remote idxs this node's stream references (paged bitset over the
-    /// same columns as `filter`; equality compares the set bits).
-    pub(crate) needed: IdxFilter,
     /// Issue timestamp of each outstanding PR — the PR round-trip-latency
     /// probe and the conservation ledger's outstanding set.
     pub(crate) issue_times: IssueLedger,
@@ -214,10 +211,6 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, wl: &CommWorkload) -> Vec<NodeSta
     (0..wl.nodes())
         .map(|p| {
             let stream = wl.stream(p);
-            let mut needed = IdxFilter::new(wl.n_cols());
-            // Node `p` owns exactly `partition().range(p)`; everything
-            // else in its stream is a remote property it needs.
-            needed.insert_remote(stream, wl.partition().range(p));
             // Straggler slowdown stretches this node's SNIC cycle and
             // server service times.
             let slowdown = cfg
@@ -260,7 +253,6 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, wl: &CommWorkload) -> Vec<NodeSta
                 } else {
                     None
                 },
-                needed,
                 issue_times: IssueLedger::new(cfg.snic.client_units() as usize),
                 responses: 0,
                 dup_responses: 0,

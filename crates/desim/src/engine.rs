@@ -2,17 +2,19 @@
 //!
 //! [`EventQueue`] is a deterministic priority queue of `(time, event)` pairs:
 //! ties in time are broken by insertion order, so a simulation is a pure
-//! function of its inputs. Besides plain pushes onto its [`BinaryHeap`] it
-//! has FIFO *lanes* for streams whose times never decrease, such as the
-//! arrivals one link produces: a lane's entries wait in a slab-backed list
-//! and only its head sits in the heap, so a backlog of thousands of
-//! packets costs the heap one entry per link. [`Engine`] wraps the queue
+//! function of its inputs. Every pending event sits in one slab node and
+//! its [`BinaryHeap`] orders 16-byte keys naming those nodes. Besides
+//! plain pushes it has FIFO *lanes* for streams whose times never
+//! decrease, such as the arrivals one link produces: a lane's entries form
+//! a list of slab nodes, each holding its successor's key, and only the
+//! head's key sits in the heap, so a backlog of thousands of packets costs
+//! the heap one entry per link and a pop reads one node. [`Engine`] wraps the queue
 //! with the run loop — event counting, the optional [`Liveness`] budgets
 //! and the runtime auditor — and hands each handler a [`Scheduler`] view
 //! through which new events are pushed.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
 use crate::time::SimTime;
@@ -89,62 +91,60 @@ impl fmt::Display for StallReport {
 
 impl std::error::Error for StallReport {}
 
-/// What a heap entry stands for.
-enum Slot<E> {
-    /// An event pushed with [`EventQueue::push`].
-    Event(E),
-    /// The head of this lane; its event waits in the slab.
-    Lane(u32),
-}
+/// The low bits of a [`Key`], which name the event's slab node; its `seq`
+/// sits above them, under the time. So one queue holds at most
+/// `MAX_SLOTS` pending events and draws fewer than `MAX_SEQ` sequence
+/// numbers (2^28 − 1 and 2^36: a 20 GiB slab of the simulator's 80-byte
+/// nodes, and about 15,000 times the events of the largest benchmark
+/// workload). Both limits are asserted on every push.
+const SLOT_BITS: u32 = 28;
+/// One less than `1 << SLOT_BITS`, so no key's slot bits are all ones and
+/// [`Key::NONE`] matches no real key.
+const MAX_SLOTS: usize = (1 << SLOT_BITS) - 1;
+const MAX_SEQ: u64 = 1 << (64 - SLOT_BITS);
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    slot: Slot<E>,
-}
+/// A heap key: `time` in the high 64 bits, `seq << SLOT_BITS | slot` in
+/// the low 64. Sequence numbers are unique, so integer order is exactly
+/// `(time, seq)` order and the slot bits never decide a comparison.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl Key {
+    /// No key: a lane with nothing queued, or a node with no successor.
+    const NONE: Key = Key(u128::MAX);
+
+    #[inline]
+    fn new(time: SimTime, seq: u64, slot: u32) -> Key {
+        Key(u128::from(time.as_ps()) << 64 | u128::from(seq << SLOT_BITS | u64::from(slot)))
+    }
+
+    #[inline]
+    fn time(self) -> SimTime {
+        let ps = (self.0 >> 64) as u64;
+        SimTime::from_ps(ps)
+    }
+
+    #[inline]
+    fn slot(self) -> u32 {
+        (self.0 as u32) & ((1 << SLOT_BITS) - 1)
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (time, seq) pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
 
-/// The end of a lane list or of the free list.
+/// The end of the free list; the `lane` of an event pushed with
+/// [`EventQueue::push`].
 const NIL: u32 = u32::MAX;
 
-/// One slab node: a lane entry, or (with `event == None`) a free node.
+/// One slab node: a pending event, or (with `event == None`) a free node.
 struct Node<E> {
-    time: SimTime,
-    seq: u64,
     event: Option<E>,
-    /// The next entry of the same lane, or the next free node.
-    next: u32,
-}
-
-/// A lane's list of slab nodes, oldest first; `NIL` at both ends when empty.
-#[derive(Clone, Copy)]
-struct Lane {
-    head: u32,
-    tail: u32,
-}
-
-impl Lane {
-    const EMPTY: Lane = Lane {
-        head: NIL,
-        tail: NIL,
-    };
+    /// The lane the event waits on, [`NIL`] for a plain event; on the
+    /// free list, the next free node.
+    lane: u32,
+    /// The key of the lane's next entry, written by the `push_lane` that
+    /// queued it behind this one, so a pop hands the lane on to the heap
+    /// without touching the successor's node. [`Key::NONE`] for a lane's
+    /// last entry and for plain events.
+    next: Key,
 }
 
 /// A deterministic min-priority queue of timestamped events.
@@ -155,12 +155,15 @@ impl Lane {
 /// number, so `(time, seq)` is a total order and the pop stream is a pure
 /// function of the pushes.
 ///
-/// [`EventQueue::push_lane`] appends to a FIFO lane instead of the heap.
-/// Its entries take their `seq` at push time like any other, and a lane's
+/// Every pending event lives in one slab node, and the [`BinaryHeap`]
+/// holds only 16-byte `(time, seq, slot)` keys, so a sift moves keys, not
+/// events. [`EventQueue::push_lane`] appends to a FIFO lane instead: its
+/// entries take their `seq` at push time like any other, and a lane's
 /// times may not decrease, so each lane is already sorted by
-/// `(time, seq)`: the heap holds only each non-empty lane's head, under
-/// the head's own `(time, seq)`, and [`EventQueue::pop`] is a k-way merge
-/// that yields exactly the order an all-heap queue would.
+/// `(time, seq)`. The heap holds only each non-empty lane's head, and each
+/// lane node carries its successor's key, so [`EventQueue::pop`] is a
+/// k-way merge that reads one node per event and yields exactly the order
+/// an all-heap queue would.
 ///
 /// # Example
 ///
@@ -181,12 +184,13 @@ impl Lane {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Reverse<Key>>,
     seq: u64,
     /// Lane entries queued behind their lane's head, the pending events
     /// the heap does not count.
     behind_heads: usize,
-    lanes: Vec<Lane>,
+    /// Each lane's last queued entry, or [`Key::NONE`] when it is empty.
+    lanes: Vec<Key>,
     slab: Vec<Node<E>>,
     /// Head of the free-node list threaded through `slab`.
     free: u32,
@@ -211,22 +215,38 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Stores `event` in a slab node and returns its key, drawing the
+    /// next sequence number.
     #[inline]
-    fn next_seq(&mut self) -> u64 {
+    fn insert(&mut self, time: SimTime, lane: u32, event: E) -> Key {
         let seq = self.seq;
+        assert!(seq < MAX_SEQ, "event queue ran out of sequence numbers");
         self.seq += 1;
-        seq
+        let node = Node {
+            event: Some(event),
+            lane,
+            next: Key::NONE,
+        };
+        let slot = if self.free == NIL {
+            assert!(
+                self.slab.len() < MAX_SLOTS,
+                "event queue is full ({MAX_SLOTS} pending events)"
+            );
+            self.slab.push(node);
+            (self.slab.len() - 1) as u32
+        } else {
+            let slot = self.free;
+            self.free = std::mem::replace(&mut self.slab[slot as usize], node).lane;
+            slot
+        };
+        Key::new(time, seq, slot)
     }
 
     /// Schedules `event` at `time`.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq();
-        self.heap.push(Entry {
-            time,
-            seq,
-            slot: Slot::Event(event),
-        });
+        let key = self.insert(time, NIL, event);
+        self.heap.push(Reverse(key));
     }
 
     /// Schedules `event` at `time` at the back of FIFO lane `lane`. Lanes
@@ -237,89 +257,55 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is earlier than the last entry still queued on
     /// `lane`: a lane pops in push order, so a later push with an earlier
-    /// time would silently be delivered out of time order.
+    /// time would silently be delivered out of time order. Also panics if
+    /// `lane` is `u32::MAX`.
     #[inline]
     pub fn push_lane(&mut self, lane: u32, time: SimTime, event: E) {
+        assert!(lane != NIL, "lane {NIL} is reserved");
         let l = lane as usize;
         if l >= self.lanes.len() {
-            self.lanes.resize(l + 1, Lane::EMPTY);
+            self.lanes.resize(l + 1, Key::NONE);
         }
-        let tail = self.lanes[l].tail;
-        if tail != NIL {
-            let last = self.slab[tail as usize].time;
+        let tail = self.lanes[l];
+        if tail != Key::NONE {
+            let last = tail.time();
             assert!(
                 time >= last,
                 "lane {lane} went back in time: {time} pushed behind {last}"
             );
         }
-        let seq = self.next_seq();
-        let node = Node {
-            time,
-            seq,
-            event: Some(event),
-            next: NIL,
-        };
-        let id = if self.free == NIL {
-            // Node ids are u32 with `NIL` reserved.
-            assert!(self.slab.len() < NIL as usize, "lane slab is full");
-            self.slab.push(node);
-            (self.slab.len() - 1) as u32
+        let key = self.insert(time, lane, event);
+        if tail == Key::NONE {
+            self.heap.push(Reverse(key));
         } else {
-            let id = self.free;
-            self.free = std::mem::replace(&mut self.slab[id as usize], node).next;
-            id
-        };
-        if tail == NIL {
-            self.lanes[l].head = id;
-            self.heap.push(Entry {
-                time,
-                seq,
-                slot: Slot::Lane(lane),
-            });
-        } else {
-            self.slab[tail as usize].next = id;
+            self.slab[tail.slot() as usize].next = key;
             self.behind_heads += 1;
         }
-        self.lanes[l].tail = id;
+        self.lanes[l] = key;
     }
 
     /// Removes and returns the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Entry { time, slot, .. } = self.heap.pop()?;
-        let event = match slot {
-            Slot::Event(event) => event,
-            Slot::Lane(lane) => self.pop_lane_head(lane)?,
-        };
-        Some((time, event))
-    }
-
-    /// Unlinks `lane`'s head and frees its node, putting the lane's next
-    /// entry (if any) into the heap. Returns `None` only if the slab is
-    /// inconsistent: a lane head always holds its event.
-    ///
-    /// Kept out of line: inlined, it made the plain heap pop ~3.5% slower
-    /// (1 Ki hold model) and the lane pop no faster.
-    #[inline(never)]
-    fn pop_lane_head(&mut self, lane: u32) -> Option<E> {
-        let l = &mut self.lanes[lane as usize];
-        let id = l.head;
-        let node = &mut self.slab[id as usize];
-        let event = node.event.take()?;
-        l.head = std::mem::replace(&mut node.next, self.free);
-        self.free = id;
-        if l.head == NIL {
-            l.tail = NIL;
+        let mut top = self.heap.peek_mut()?;
+        let Reverse(key) = *top;
+        let slot = key.slot();
+        let node = &mut self.slab[slot as usize];
+        let event = node.event.take();
+        let lane = std::mem::replace(&mut node.lane, self.free);
+        self.free = slot;
+        if lane == NIL {
+            PeekMut::pop(top);
+        } else if node.next == Key::NONE {
+            PeekMut::pop(top);
+            self.lanes[lane as usize] = Key::NONE;
         } else {
+            // The lane's next entry takes its head's place in the heap.
+            *top = Reverse(node.next);
             self.behind_heads -= 1;
-            let next = &self.slab[l.head as usize];
-            self.heap.push(Entry {
-                time: next.time,
-                seq: next.seq,
-                slot: Slot::Lane(lane),
-            });
         }
-        Some(event)
+        // Every key in the heap names a node that holds its event.
+        event.map(|event| (key.time(), event))
     }
 
     /// Number of pending events, lane entries included.
@@ -712,26 +698,38 @@ mod tests {
         // far-apart timestamps, checked against a model that pops the
         // linear minimum of `(time, seq)`: same-time entries must come
         // out in push order even while pops interleave with pushes. A
-        // third of the pushes go to four FIFO lanes, each fed
-        // nondecreasing times (with same-time runs), as a link feeds its
-        // arrivals; the merge must still match the model exactly.
+        // third of the pushes go to sixteen FIFO lanes, each fed
+        // nondecreasing times (with same-time runs) while it has entries
+        // queued, as a link feeds its arrivals. The pop rate swings
+        // between filling and draining phases, so lanes often drain and
+        // restart, half the time earlier than their last entry, and plain
+        // and lane events take over each other's freed slab nodes.
         use crate::rng::SplitMix64;
-        fn model_pop(model: &mut Vec<(SimTime, u64, u64)>) -> Option<(SimTime, u64)> {
+        const LANES: usize = 16;
+        type Entry = (SimTime, u64, Option<usize>);
+        fn model_pop(model: &mut Vec<Entry>) -> Option<Entry> {
             let (i, _) = model
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, &(t, seq, _))| (t, seq))?;
-            let (t, _, payload) = model.swap_remove(i);
-            Some((t, payload))
+            Some(model.swap_remove(i))
         }
         for seed in [3u64, 17, 92] {
             let mut q: EventQueue<u64> = EventQueue::new();
-            let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
+            // The payload doubles as the push sequence number.
+            let mut model: Vec<Entry> = Vec::new();
             let mut rng = SplitMix64::new(seed);
             let mut base = 0u64;
-            let mut lane_last = [0u64; 4];
-            let (mut lane_pushes, mut lane_ties) = (0u32, 0u32);
-            for i in 0..5_000u64 {
+            let mut lane_last = [0u64; LANES];
+            let mut lane_queued = [0u32; LANES];
+            let (mut lane_pushes, mut lane_ties, mut restarts) = (0u32, 0u32, 0u32);
+            let mut earlier_restarts = 0u32;
+            let (mut peak, mut phase_end, mut draining) = (0, 0u64, false);
+            for i in 0..20_000u64 {
+                if i == phase_end {
+                    draining = !draining;
+                    phase_end = i + 50 + rng.next_range(1_000);
+                }
                 // Mostly near-future pushes, occasional same-instant
                 // bursts and millisecond-scale outliers.
                 let dt = match rng.next_range(10) {
@@ -739,42 +737,76 @@ mod tests {
                     1..=7 => rng.next_range(2_000),
                     _ => rng.next_range(2_000_000),
                 };
-                let t = if rng.chance(1.0 / 3.0) {
-                    // A lane's next arrival: never before its last one
-                    // (nor before the causal floor), often tied with it.
-                    let lane = rng.next_range(4) as usize;
-                    let last = lane_last[lane].max(base);
-                    let t = if rng.chance(0.3) { last } else { last + dt };
-                    lane_ties += u32::from(t == lane_last[lane]);
-                    lane_last[lane] = t;
-                    lane_pushes += 1;
-                    q.push_lane(lane as u32, SimTime::from_ps(t), i);
-                    SimTime::from_ps(t)
-                } else {
-                    let t = SimTime::from_ps(base + dt);
-                    q.push(t, i);
-                    t
+                let lane = rng
+                    .chance(1.0 / 3.0)
+                    .then(|| rng.next_range(LANES as u64) as usize);
+                let t = match lane {
+                    Some(l) if lane_queued[l] > 0 => {
+                        // Never before the lane's last queued arrival,
+                        // often tied with it.
+                        let t = if rng.chance(0.3) {
+                            lane_last[l]
+                        } else {
+                            lane_last[l] + dt
+                        };
+                        lane_ties += u32::from(t == lane_last[l]);
+                        t
+                    }
+                    Some(l) => {
+                        // A drained lane restarts at any time, often
+                        // before its last entry (a bare queue accepts
+                        // pushes behind the last pop).
+                        restarts += 1;
+                        if rng.chance(0.5) {
+                            earlier_restarts += 1;
+                            lane_last[l].saturating_sub(1 + rng.next_range(5_000))
+                        } else {
+                            base + dt
+                        }
+                    }
+                    None => base + dt,
                 };
-                // The payload doubles as the push sequence number.
-                model.push((t, i, i));
+                match lane {
+                    Some(l) => {
+                        lane_last[l] = t;
+                        lane_queued[l] += 1;
+                        lane_pushes += 1;
+                        q.push_lane(l as u32, SimTime::from_ps(t), i);
+                    }
+                    None => q.push(SimTime::from_ps(t), i),
+                }
+                model.push((SimTime::from_ps(t), i, lane));
+                peak = peak.max(model.len());
                 assert_eq!(q.len(), model.len());
-                if rng.chance(0.6) {
+                let pops = if draining { 2 } else { 1 };
+                for _ in 0..pops {
+                    if !rng.chance(if draining { 0.9 } else { 0.6 }) {
+                        continue;
+                    }
+                    let want = model_pop(&mut model);
                     let got = q.pop();
-                    assert_eq!(got, model_pop(&mut model), "diverged (seed {seed})");
-                    if let Some((t, _)) = got {
+                    assert_eq!(got, want.map(|(t, seq, _)| (t, seq)), "seed {seed}");
+                    if let Some((t, _, lane)) = want {
                         // Keep pushes causal, like a Scheduler would.
                         base = base.max(t.as_ps());
+                        if let Some(l) = lane {
+                            lane_queued[l] -= 1;
+                        }
                     }
                 }
             }
-            assert!(lane_pushes > 1_000 && lane_ties > 100, "lanes barely used");
+            assert!(lane_pushes > 5_000 && lane_ties > 500, "lanes barely used");
+            assert!(
+                restarts > 1_000 && earlier_restarts > 500,
+                "lanes barely drained: {restarts} restarts, {earlier_restarts} earlier"
+            );
+            // Every pending event holds one node and freed nodes are
+            // reused before the slab grows, whichever kind freed them.
+            assert_eq!(q.slab.len(), peak);
             assert_eq!(q.len(), model.len());
             while let Some(got) = q.pop() {
-                assert_eq!(
-                    Some(got),
-                    model_pop(&mut model),
-                    "drain diverged (seed {seed})"
-                );
+                let want = model_pop(&mut model).map(|(t, seq, _)| (t, seq));
+                assert_eq!(Some(got), want, "drain diverged (seed {seed})");
             }
             assert!(model.is_empty());
             assert!(q.is_empty());

@@ -7,10 +7,12 @@
 //! The kernel is one [`EventQueue`] and one run loop, [`Engine::run`],
 //! which [`Liveness`] budgets can bound so that a model that never
 //! terminates comes back as a [`StallReport`] instead of a hang. The queue
-//! is a binary heap plus FIFO lanes: a stream of events whose times never
-//! decrease (the arrivals one link produces) waits in its own lane with
-//! only its head in the heap, and pops merge back into exactly the
-//! all-heap `(time, seq)` order.
+//! keeps every event in a slab node and orders only `(time, seq, slot)`
+//! keys in a binary heap. It also has FIFO lanes: a stream of events whose
+//! times never decrease (the arrivals one link produces) waits in its own
+//! lane with only its head's key in the heap, each node carrying its
+//! successor's key, and pops merge back into exactly the all-heap
+//! `(time, seq)` order.
 //!
 //! The engine is deliberately generic: the event payload type is chosen by
 //! the embedding simulator (see the `netsparse` core crate), and components

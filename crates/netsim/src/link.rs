@@ -72,6 +72,10 @@ pub struct Link {
     max_backlog: SimTime,
     meter: RateMeter,
     packets: u64,
+    /// The last packet size transmitted and its serialization time. A
+    /// link mostly carries runs of one size, so this spares the f64
+    /// divide-and-round of [`LinkParams::serialization`] per packet.
+    last_serialization: (u64, SimTime),
     #[cfg(feature = "trace")]
     tracer: Option<(Tracer, TrackId)>,
 }
@@ -85,6 +89,7 @@ impl Link {
             max_backlog: SimTime::ZERO,
             meter: RateMeter::new(),
             packets: 0,
+            last_serialization: (0, params.serialization(0)),
             #[cfg(feature = "trace")]
             tracer: None,
         }
@@ -109,7 +114,10 @@ impl Link {
         let depart = self.busy_until.max(now);
         let backlog = depart.saturating_sub(now);
         self.max_backlog = self.max_backlog.max(backlog);
-        self.busy_until = depart + self.params.serialization(bytes);
+        if self.last_serialization.0 != bytes {
+            self.last_serialization = (bytes, self.params.serialization(bytes));
+        }
+        self.busy_until = depart + self.last_serialization.1;
         self.meter.record(self.busy_until, bytes);
         self.packets += 1;
         #[cfg(feature = "trace")]
@@ -190,6 +198,18 @@ mod tests {
         l.transmit(SimTime::ZERO, 12_500); // 1 us of wire time
         let u = l.utilization(SimTime::from_us(2));
         assert!((u - 0.5).abs() < 1e-9, "{u}");
+    }
+
+    #[test]
+    fn mixed_sizes_serialize_like_the_closed_form() {
+        let p = LinkParams::new(100.0, 0);
+        let mut l = Link::new(p);
+        let mut busy = SimTime::ZERO;
+        for bytes in [0, 64, 64, 1_500, 64, 1_500, 1_500, 0, 9_000] {
+            l.transmit(SimTime::ZERO, bytes);
+            busy += p.serialization(bytes);
+            assert_eq!(l.busy_until(), busy, "after a {bytes}-byte packet");
+        }
     }
 
     #[test]

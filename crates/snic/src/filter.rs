@@ -13,8 +13,6 @@
 //! node holds only the pages its stream reaches, at any column count up
 //! to `u32::MAX`.
 
-use std::ops::Range;
-
 /// Bits per page: 64 words (512 B) of the bit vector.
 const PAGE_BITS: u32 = 4_096;
 const PAGE_SHIFT: u32 = PAGE_BITS.trailing_zeros();
@@ -147,27 +145,6 @@ impl IdxFilter {
         was
     }
 
-    /// Sets the bit of every idx in `idxs` that lies *outside*
-    /// `local` — the bulk builder for per-node "needed" sets (a node
-    /// needs exactly its stream's remote idxs). Equivalent to filtered
-    /// per-idx [`IdxFilter::insert`] calls; local idxs allocate no pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any idx in `idxs` (or `local.end - 1`) is `>= n_cols`.
-    pub fn insert_remote(&mut self, idxs: &[u32], local: Range<u32>) {
-        assert!(
-            local.end <= self.n_cols,
-            "local range end {} out of filter range",
-            local.end
-        );
-        for &idx in idxs {
-            if !local.contains(&idx) {
-                self.insert(idx);
-            }
-        }
-    }
-
     /// Clears every bit (the control plane resets the filter between
     /// kernel iterations when the input property array changes).
     pub fn clear(&mut self) {
@@ -216,33 +193,6 @@ mod tests {
         assert!(!f.contains(7));
         assert!(f.is_empty());
         assert_eq!(f, IdxFilter::new(100));
-    }
-
-    #[test]
-    fn insert_remote_matches_per_idx_inserts() {
-        let idxs = [3u32, 999, 64, 63, 3, 500, 128, 64, 200, 4_096, 8_191];
-        let local = 100..600;
-        let mut bulk = IdxFilter::new(10_000);
-        bulk.insert_remote(&idxs, local.clone());
-        let mut one_by_one = IdxFilter::new(10_000);
-        for &i in &idxs {
-            if !local.contains(&i) {
-                one_by_one.insert(i);
-            }
-        }
-        assert_eq!(bulk, one_by_one);
-        assert_eq!(bulk.len(), 6);
-        for i in 0..10_000 {
-            assert_eq!(bulk.contains(i), one_by_one.contains(i), "idx {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of filter range")]
-    fn insert_remote_rejects_out_of_range_idx() {
-        // 120 shares the last 64-bit word of a 100-column filter; it must
-        // panic like `insert(120)` rather than set a bit past `n_cols`.
-        IdxFilter::new(100).insert_remote(&[120], 0..10);
     }
 
     #[test]

@@ -357,69 +357,165 @@ fn slot_hash(key: u64, dest: u32, slot: u64) -> u64 {
     splitmix(key ^ splitmix((dest as u64) << 32 ^ slot))
 }
 
-fn sample_dest(shape: DestShape, p: u32, nodes: u32, rng: &mut SplitMix64) -> u32 {
-    debug_assert!(nodes >= 2);
-    for _ in 0..64 {
-        let (dist, up): (u32, bool) = match shape {
-            DestShape::Neighbor { width } => {
-                (rng.range_u32_inclusive(1, width.max(1)), rng.next_bool())
-            }
-            DestShape::GeomDecay { rho } => {
-                let u: f64 = rng.next_f64_open();
-                let d = 1 + (u.ln() / rho.ln()).floor() as u32;
-                (d.min(nodes - 1), rng.next_bool())
-            }
+/// A [`DestShape`] with its per-draw constants worked out once per
+/// workload. Each variant draws exactly what the shape's formula draws, in
+/// the same order, so streams are unchanged.
+#[derive(Clone, Copy)]
+enum DestSampler {
+    Neighbor {
+        width: u32,
+    },
+    /// `ln_rho` is `rho.ln()`.
+    GeomDecay {
+        ln_rho: f64,
+    },
+    /// `alpha == 1`: `d = nmax^u`.
+    LogUniform {
+        nmax: f64,
+    },
+    /// `d = (1 + u * span)^inv_one_m`, with `span = nmax^(1-alpha) - 1`
+    /// and `inv_one_m = 1 / (1 - alpha)`.
+    PowerLaw {
+        span: f64,
+        inv_one_m: f64,
+    },
+    Strided {
+        stride: u32,
+        far_frac: f64,
+        near_width: u32,
+    },
+}
+
+impl DestSampler {
+    fn new(shape: DestShape, nodes: u32) -> Self {
+        match shape {
+            DestShape::Neighbor { width } => DestSampler::Neighbor { width },
+            DestShape::GeomDecay { rho } => DestSampler::GeomDecay { ln_rho: rho.ln() },
             DestShape::PowerLaw { alpha } => {
                 // Inverse-CDF over d in [1, nodes): P(d) ∝ d^-alpha.
-                let u: f64 = rng.next_f64();
                 let one_m = 1.0 - alpha;
                 let nmax = (nodes - 1) as f64;
-                let d = if (one_m).abs() < 1e-9 {
-                    nmax.powf(u)
+                if (one_m).abs() < 1e-9 {
+                    DestSampler::LogUniform { nmax }
                 } else {
-                    (1.0 + u * (nmax.powf(one_m) - 1.0)).powf(1.0 / one_m)
-                };
-                ((d.floor() as u32).clamp(1, nodes - 1), rng.next_bool())
+                    DestSampler::PowerLaw {
+                        span: nmax.powf(one_m) - 1.0,
+                        inv_one_m: 1.0 / one_m,
+                    }
+                }
             }
             DestShape::Strided {
                 stride,
                 far_frac,
                 near_width,
-            } => {
-                if rng.chance(far_frac) {
-                    (stride.max(1), rng.next_bool())
-                } else {
-                    (
-                        rng.range_u32_inclusive(1, near_width.max(1)),
-                        rng.next_bool(),
-                    )
+            } => DestSampler::Strided {
+                stride,
+                far_frac,
+                near_width,
+            },
+        }
+    }
+
+    /// One remote destination for node `p`.
+    fn sample(&self, p: u32, nodes: u32, rng: &mut SplitMix64) -> u32 {
+        debug_assert!(nodes >= 2);
+        for _ in 0..64 {
+            let (dist, up): (u32, bool) = match *self {
+                DestSampler::Neighbor { width } => {
+                    (rng.range_u32_inclusive(1, width.max(1)), rng.next_bool())
                 }
+                DestSampler::GeomDecay { ln_rho } => {
+                    let u: f64 = rng.next_f64_open();
+                    let d = 1 + (u.ln() / ln_rho).floor() as u32;
+                    (d.min(nodes - 1), rng.next_bool())
+                }
+                DestSampler::LogUniform { nmax } => {
+                    let d = nmax.powf(rng.next_f64());
+                    ((d.floor() as u32).clamp(1, nodes - 1), rng.next_bool())
+                }
+                DestSampler::PowerLaw { span, inv_one_m } => {
+                    let u: f64 = rng.next_f64();
+                    let d = (1.0 + u * span).powf(inv_one_m);
+                    ((d.floor() as u32).clamp(1, nodes - 1), rng.next_bool())
+                }
+                DestSampler::Strided {
+                    stride,
+                    far_frac,
+                    near_width,
+                } => {
+                    if rng.chance(far_frac) {
+                        (stride.max(1), rng.next_bool())
+                    } else {
+                        (
+                            rng.range_u32_inclusive(1, near_width.max(1)),
+                            rng.next_bool(),
+                        )
+                    }
+                }
+            };
+            let cand = if up {
+                p.checked_add(dist).filter(|&d| d < nodes)
+            } else {
+                p.checked_sub(dist)
+            };
+            if let Some(d) = cand {
+                return d;
             }
-        };
-        let cand = if up {
-            p.checked_add(dist).filter(|&d| d < nodes)
-        } else {
-            p.checked_sub(dist)
-        };
-        if let Some(d) = cand {
-            return d;
+            // Out of range (node near an edge): try the other direction once.
+            let cand = if up {
+                p.checked_sub(dist)
+            } else {
+                Some(p + dist)
+            };
+            if let Some(d) = cand.filter(|&d| d < nodes) {
+                return d;
+            }
         }
-        // Out of range (node near an edge): try the other direction once.
-        let cand = if up {
-            p.checked_sub(dist)
+        // Degenerate fallback: adjacent node.
+        if p + 1 < nodes {
+            p + 1
         } else {
-            Some(p + dist)
-        };
-        if let Some(d) = cand.filter(|&d| d < nodes) {
-            return d;
+            p - 1
         }
     }
-    // Degenerate fallback: adjacent node.
-    if p + 1 < nodes {
-        p + 1
+}
+
+/// `2^-50`: the guard band of [`in_burst`], four times its rounding bound.
+const BURST_GUARD: f64 = 1.0 / (1u64 << 50) as f64;
+
+/// Whether draw `t` of a destination falls inside a burst: exactly
+/// `(t as f64 % reuse) >= 1.0`, given `base = (t as f64 / reuse) as u64`,
+/// without an f64 remainder on most draws.
+///
+/// `t` is exact as an f64 (`t < 2^53`) and `base` is `floor(t / reuse)`
+/// or, when the quotient rounds up to the next integer, one more. The
+/// remainder `t % reuse` is the exact `t - floor(t / reuse) * reuse`, and
+/// `r = t - base * reuse` computed in f64 is within `2^-52 (t + 2 reuse)`
+/// of `t - base * reuse`. So outside a guard band of four times that
+/// around 0 (where a rounded-up `base` lands) and around 1, `r >= 1.0`
+/// decides the test like the remainder would; inside it, the remainder
+/// decides.
+#[inline]
+fn in_burst(t: u64, base: u64, reuse: f64) -> bool {
+    debug_assert!(t < 1 << 53);
+    let tf = t as f64;
+    let r = tf - base as f64 * reuse;
+    let guard = (tf + 2.0 * reuse) * BURST_GUARD;
+    if r >= guard && (r - 1.0).abs() >= guard {
+        r >= 1.0
     } else {
-        p - 1
+        tf % reuse >= 1.0
     }
+}
+
+/// Where node `p`'s slots for one destination land: the destination's
+/// column range, and the random phase of each slot sequence in it
+/// (indexed by `shared`: node-private, then rack-shared).
+#[derive(Clone, Copy)]
+struct DestCols {
+    start: u32,
+    width: u64,
+    phase: [u64; 2],
 }
 
 /// Generates a calibrated workload (see module docs for the model).
@@ -480,8 +576,11 @@ pub fn generate(cfg: &SuiteConfig) -> CommWorkload {
     // collapse onto one destination pool.
     let stay_q = (1.0 - (sig.window_dests - 1.0) / ((w - 1.0) * 0.75)).clamp(0.0, 0.999);
 
+    let sampler = DestSampler::new(sig.dest_shape, nodes);
+    let share_cut = sig.share_p * 10_000.0;
     let mut streams: Vec<Vec<u32>> = Vec::with_capacity(nodes as usize);
     let mut rows_per_node = Vec::with_capacity(nodes as usize);
+    let mut dest_cols: Vec<DestCols> = Vec::with_capacity(nodes as usize);
 
     for p in 0..nodes {
         rows_per_node.push(partition.part_len(p));
@@ -489,6 +588,21 @@ pub fn generate(cfg: &SuiteConfig) -> CommWorkload {
         let nnz_p = ((nnz_per_node as f64 * nnz_f[p as usize]) as usize).max(64);
         let own = partition.range(p);
         let rack = (p / cfg.rack_size) as u64;
+        // Affine *bijection* from slots onto each destination's column
+        // range (a hash would birthday-collide once the working set
+        // approaches the range width, silently inflating reuse). The
+        // random phase separates the private and rack-shared sequences.
+        dest_cols.clear();
+        dest_cols.extend((0..nodes).map(|dest| {
+            let dr = partition.range(dest);
+            let width = (dr.end - dr.start).max(1) as u64;
+            let phase = |key: u64| slot_hash(key, dest, 0) % width;
+            DestCols {
+                start: dr.start,
+                width,
+                phase: [phase(0x0DE0_0000 + p as u64), phase(0x5AC0_0000 + rack)],
+            }
+        }));
         let mut stream = Vec::with_capacity(nnz_p);
         // Working-set draw counters, one per destination node.
         let mut draws: Vec<u64> = vec![0; nodes as usize];
@@ -514,10 +628,10 @@ pub fn generate(cfg: &SuiteConfig) -> CommWorkload {
                             if hub != p {
                                 hub
                             } else {
-                                sample_dest(sig.dest_shape, p, nodes, &mut rng)
+                                sampler.sample(p, nodes, &mut rng)
                             }
                         } else {
-                            sample_dest(sig.dest_shape, p, nodes, &mut rng)
+                            sampler.sample(p, nodes, &mut rng)
                         }
                     }
                 };
@@ -530,30 +644,17 @@ pub fn generate(cfg: &SuiteConfig) -> CommWorkload {
                 // A repeat draw either stays in the current burst window
                 // (temporally clustered -> coalescing territory) or
                 // revisits an older column (Idx Filter territory).
-                let in_burst = (t as f64 % sig.reuse) >= 1.0;
-                let slot = if in_burst && base > 0 && rng.chance(sig.far_revisit) {
-                    rng.range_u64(0, base)
-                } else {
-                    base + rng.range_u64(0, jitter_w)
-                };
+                let slot =
+                    if in_burst(t, base, sig.reuse) && base > 0 && rng.chance(sig.far_revisit) {
+                        rng.range_u64(0, base)
+                    } else {
+                        base + rng.range_u64(0, jitter_w)
+                    };
                 // Shared-vs-private decision must be node-independent so a
                 // shared slot means the same column to everyone in the rack.
-                let shared =
-                    ((slot_hash(0xC0FFEE, dest, slot) % 10_000) as f64) < sig.share_p * 10_000.0;
-                let key = if shared {
-                    0x5AC0_0000 + rack
-                } else {
-                    0x0DE0_0000 + p as u64
-                };
-                let dr = partition.range(dest);
-                let width = (dr.end - dr.start).max(1) as u64;
-                // Affine *bijection* from slots onto the destination's
-                // column range (a hash would birthday-collide once the
-                // working set approaches the range width, silently
-                // inflating reuse). The random phase separates the shared
-                // and private sequences.
-                let phase = slot_hash(key, dest, 0) % width;
-                let col = dr.start + ((slot + phase) % width) as u32;
+                let shared = ((slot_hash(0xC0FFEE, dest, slot) % 10_000) as f64) < share_cut;
+                let dc = &dest_cols[dest as usize];
+                let col = dc.start + ((slot + dc.phase[usize::from(shared)]) % dc.width) as u32;
                 stream.push(col);
             } else {
                 // Local reference.
@@ -638,6 +739,38 @@ mod tests {
             .map(|&(m, seed, _)| (m, seed, stream_digest(&m.workload(0.1, seed))))
             .collect();
         assert_eq!(got, pinned, "generated streams changed");
+    }
+
+    #[test]
+    fn in_burst_matches_the_remainder_at_every_reachable_draw() {
+        // Draw `t` of a destination is below its node's stream length,
+        // at most 8 (the nnz skew's clamp) times the nonzeros per node:
+        // every t the generator reaches up to scale 4 is checked.
+        let check = |m: SuiteMatrix, t: u64| {
+            let reuse = m.signature().reuse;
+            let base = (t as f64 / reuse) as u64;
+            assert_eq!(
+                in_burst(t, base, reuse),
+                t as f64 % reuse >= 1.0,
+                "{m}: t = {t}"
+            );
+        };
+        for m in SuiteMatrix::ALL {
+            for t in 0..8 * 4 * m.signature().base_nnz_per_node as u64 {
+                check(m, t);
+            }
+        }
+        // Beyond that, the draws next to each burst boundary, where the
+        // quotient rounds up and the guard band decides.
+        let mut rng = SplitMix64::new(11);
+        for m in SuiteMatrix::ALL {
+            for _ in 0..20_000 {
+                let t = (rng.next_range(1 << 44) as f64 * m.signature().reuse) as u64;
+                for t in t.saturating_sub(2)..t + 3 {
+                    check(m, t);
+                }
+            }
+        }
     }
 
     #[test]

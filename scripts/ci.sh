@@ -15,7 +15,9 @@
 # docs/FAULTS.md), the structured-tracing suites with the `trace` feature
 # on (see docs/OBSERVABILITY.md), the repo benchmark's tests in its
 # per-layer (`trace`) build, smoke runs of the ext_fault_sweep and
-# ext_trace sections of the `repro` binary, the serial-vs-parallel sweep
+# ext_trace sections of the `repro` binary, byte-for-byte checks of the
+# table1, table4, table7 and characterize sections against the committed
+# docs/sample_output/repro_all.txt, the serial-vs-parallel sweep
 # equivalence suite, a timed serial-vs-parallel sweep smoke via
 # `bench_sweep`, whose serial vs parallel wall-clock JSON goes to the
 # BENCH_sweep.ci.json artifact (the committed BENCH_sweep.json, the same
@@ -39,6 +41,19 @@ run() {
     "$@"
 }
 
+# check_section <key> <title>: `repro <key>` must print exactly the
+# section under <title>'s banner in docs/sample_output/repro_all.txt.
+# `repro all` follows each section's text with one more newline, hence
+# the `echo`.
+check_section() {
+    echo "==> repro $1 vs the $2 section of docs/sample_output/repro_all.txt"
+    diff <(awk -v banner="==================== $2 ====================" '
+            $0 == banner { on = 1; next }
+            on && /^==================== .* ====================$/ { exit }
+            on { print }' docs/sample_output/repro_all.txt) \
+        <(cargo run --release -q -p netsparse-bench --bin repro -- "$1"; echo)
+}
+
 run cargo fmt --all --check
 # simcheck: write the machine-readable report first (archived as a CI
 # artifact whether or not the gate passes), then fail on violations with
@@ -60,6 +75,15 @@ if [[ "$fast" -eq 0 ]]; then
     # in release mode (debug runs already audit via debug_assertions).
     run cargo test -q -p netsparse-tests --features audit --release --test fault_recovery
     run cargo run --release -q -p netsparse-bench --bin repro -- ext_fault_sweep
+    # Committed-output pins: Table 1, Table 4 and the workload
+    # characterization read every generated stream of the five matrices
+    # at scale 1, and Table 7 simulates each with every mechanism on.
+    # Each must print exactly its section of the committed `repro all`
+    # capture.
+    check_section table1 "Table 1"
+    check_section table4 "Table 4"
+    check_section table7 "Table 7"
+    check_section characterize "Workload characterization"
     # Structured tracing: golden trace, trace-vs-metrics consistency,
     # exporter validity and the protocol property suite, with the tracer
     # and the release auditor both compiled in.
