@@ -882,6 +882,13 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(q.slab.len(), 8);
+        // Plain events take the nodes the lanes freed.
+        for i in 0..8 {
+            q.push(SimTime::from_ns(2_000 - i), i as u32);
+        }
+        assert_eq!(q.slab.len(), 8);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(1_993), 7)));
+        assert_eq!(q.len(), 7);
     }
 
     #[test]
