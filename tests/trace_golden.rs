@@ -8,8 +8,8 @@
 //!
 //! Requires `--features trace`.
 
-use netsparse::config::ConcatImpl;
-use netsparse::{simulate_traced, ClusterConfig, Mechanisms, SimReport};
+use netsparse::config::{ConcatImpl, ReduceConfig};
+use netsparse::{simulate_traced, ClusterConfig, Mechanisms, ReduceReport, SimReport};
 use netsparse_desim::TraceConfig;
 use netsparse_netsim::Topology;
 use netsparse_snic::vconcat::VirtualCqConfig;
@@ -74,6 +74,34 @@ const SMALL_POOL_LEN_SEED7: usize = 12_576;
 /// How many events the seed-7 small-pool run processes.
 const SMALL_POOL_EVENTS_SEED7: u64 = 1_607;
 
+/// Digest of the seed-7 golden run with in-network reduction
+/// (`ReduceConfig::in_network()`): every issued read also sends a
+/// contribution toward its row's owner, and the ToRs fold rack-mates'
+/// contributions for one row. The 4,096-entry table never fills, so
+/// this pins absorb, merge and window-expiry flushes.
+const REDUCE_DIGEST_SEED7: u64 = 0xddf9_0b75_0490_ee8c;
+/// Digest of the seed-11 in-network reduction run.
+const REDUCE_DIGEST_SEED11: u64 = 0xe7a1_ca02_6aa6_dfbf;
+/// How many records the seed-7 in-network reduction run captures.
+const REDUCE_LEN_SEED7: usize = 13_041;
+/// How many events the seed-7 in-network reduction run processes.
+const REDUCE_EVENTS_SEED7: u64 = 3_045;
+
+/// Digest of the seed-7 golden run with a reduce table of
+/// `SMALL_TABLE_ENTRIES` rows: it fills, so 3,037 contributions bypass
+/// it and travel on unmerged beside 142 merges. This pins the bypass
+/// path and the order in which a full table's rows free up.
+const SMALL_TABLE_DIGEST_SEED7: u64 = 0xc9d7_d46a_28ac_5951;
+/// Digest of the seed-11 small-table run.
+const SMALL_TABLE_DIGEST_SEED11: u64 = 0xe245_4d0e_e07c_f9d6;
+/// How many records the seed-7 small-table run captures.
+const SMALL_TABLE_LEN_SEED7: usize = 13_140;
+/// How many events the seed-7 small-table run processes.
+const SMALL_TABLE_EVENTS_SEED7: u64 = 2_511;
+
+/// Rows of the small reduce table.
+const SMALL_TABLE_ENTRIES: usize = 8;
+
 /// The chaos harness's virtual-CQ pool.
 const SMALL_POOL: VirtualCqConfig = VirtualCqConfig {
     physical_queues: 8,
@@ -83,12 +111,22 @@ const SMALL_POOL: VirtualCqConfig = VirtualCqConfig {
 /// The pinned golden configuration: same cluster and workload shape as
 /// `determinism.rs`, with tracing attached at default capacity.
 fn golden_run(seed: u64) -> SimReport {
-    golden_run_with(seed, Mechanisms::all(), ConcatImpl::Dedicated)
+    golden_run_with(
+        seed,
+        Mechanisms::all(),
+        ConcatImpl::Dedicated,
+        ReduceConfig::disabled(),
+    )
 }
 
-/// The golden configuration under an explicit mechanism set and
-/// concatenator implementation.
-fn golden_run_with(seed: u64, mechanisms: Mechanisms, concat_impl: ConcatImpl) -> SimReport {
+/// The golden configuration under an explicit mechanism set,
+/// concatenator implementation and reduction setting.
+fn golden_run_with(
+    seed: u64,
+    mechanisms: Mechanisms,
+    concat_impl: ConcatImpl,
+    reduce: ReduceConfig,
+) -> SimReport {
     let topo = Topology::LeafSpine {
         racks: 2,
         rack_size: 4,
@@ -105,6 +143,7 @@ fn golden_run_with(seed: u64, mechanisms: Mechanisms, concat_impl: ConcatImpl) -
     let mut cfg = ClusterConfig::mini(topo, 16);
     cfg.mechanisms = mechanisms;
     cfg.concat_impl = concat_impl;
+    cfg.reduce = reduce;
     simulate_traced(&cfg, &wl, TraceConfig::default())
 }
 
@@ -156,7 +195,12 @@ fn golden_digest_matches_the_committed_constants() {
 
 #[test]
 fn rig_only_digest_matches_the_committed_constants() {
-    let a = golden_run_with(7, Mechanisms::rig_only(), ConcatImpl::Dedicated);
+    let a = golden_run_with(
+        7,
+        Mechanisms::rig_only(),
+        ConcatImpl::Dedicated,
+        ReduceConfig::disabled(),
+    );
     assert!(a.functional_check_passed);
     assert_eq!(
         a.events, RIG_ONLY_EVENTS_SEED7,
@@ -174,7 +218,12 @@ fn rig_only_digest_matches_the_committed_constants() {
         "rig-only seed-7 trace digest changed: {:#018x}",
         tr.digest
     );
-    let b = golden_run_with(11, Mechanisms::rig_only(), ConcatImpl::Dedicated);
+    let b = golden_run_with(
+        11,
+        Mechanisms::rig_only(),
+        ConcatImpl::Dedicated,
+        ReduceConfig::disabled(),
+    );
     assert_eq!(
         b.trace.as_ref().unwrap().digest,
         RIG_ONLY_DIGEST_SEED11,
@@ -183,26 +232,66 @@ fn rig_only_digest_matches_the_committed_constants() {
     );
 }
 
-/// Checks one virtual-CQ pin: the seed-7 event count, record count and
-/// digest, and the seed-11 digest.
-fn assert_virtual_pin(pool: VirtualCqConfig, events: u64, len: usize, seed7: u64, seed11: u64) {
-    let a = golden_run_with(7, Mechanisms::all(), ConcatImpl::Virtual(pool));
+/// Checks one pinned variant of the golden point, `run` being its
+/// golden run at a given seed: the seed-7 event count, record count and
+/// digest, and the seed-11 digest. Returns the seed-7 report.
+fn assert_pin(
+    label: &str,
+    run: impl Fn(u64) -> SimReport,
+    events: u64,
+    len: usize,
+    seed7: u64,
+    seed11: u64,
+) -> SimReport {
+    let a = run(7);
     assert!(a.functional_check_passed);
-    assert_eq!(a.events, events, "{pool:?} seed-7 event count changed");
+    assert_eq!(a.events, events, "{label} seed-7 event count changed");
     let tr = a.trace.as_ref().unwrap();
     assert_eq!(tr.buffer.dropped(), 0, "golden runs must not drop");
-    assert_eq!(tr.buffer.len(), len, "{pool:?} seed-7 record count changed");
+    assert_eq!(tr.buffer.len(), len, "{label} seed-7 record count changed");
     assert_eq!(
         tr.digest, seed7,
-        "{pool:?} seed-7 trace digest changed: {:#018x}",
+        "{label} seed-7 trace digest changed: {:#018x}",
         tr.digest
     );
-    let b = golden_run_with(11, Mechanisms::all(), ConcatImpl::Virtual(pool));
-    let digest = b.trace.as_ref().unwrap().digest;
+    let digest = run(11).trace.as_ref().unwrap().digest;
     assert_eq!(
         digest, seed11,
-        "{pool:?} seed-11 trace digest changed: {digest:#018x}"
+        "{label} seed-11 trace digest changed: {digest:#018x}"
     );
+    a
+}
+
+/// Checks one virtual-CQ pin (see [`assert_pin`]).
+fn assert_virtual_pin(pool: VirtualCqConfig, events: u64, len: usize, seed7: u64, seed11: u64) {
+    let run = |seed| {
+        golden_run_with(
+            seed,
+            Mechanisms::all(),
+            ConcatImpl::Virtual(pool),
+            ReduceConfig::disabled(),
+        )
+    };
+    assert_pin(&format!("{pool:?}"), run, events, len, seed7, seed11);
+}
+
+/// Checks one reduction pin (see [`assert_pin`]) and returns the seed-7
+/// run's reduction report.
+fn assert_reduce_pin(
+    reduce: ReduceConfig,
+    events: u64,
+    len: usize,
+    seed7: u64,
+    seed11: u64,
+) -> ReduceReport {
+    let run = |seed| golden_run_with(seed, Mechanisms::all(), ConcatImpl::Dedicated, reduce);
+    let a = assert_pin(&format!("{reduce:?}"), run, events, len, seed7, seed11);
+    let r = a.reduce.expect("reduction runs report it");
+    assert_eq!(
+        r.contribs_delivered, r.contribs_issued,
+        "fault-free runs deliver every contribution"
+    );
+    r
 }
 
 #[test]
@@ -224,6 +313,37 @@ fn small_pool_digest_matches_the_committed_constants() {
         SMALL_POOL_LEN_SEED7,
         SMALL_POOL_DIGEST_SEED7,
         SMALL_POOL_DIGEST_SEED11,
+    );
+}
+
+#[test]
+fn in_network_reduce_digest_matches_the_committed_constants() {
+    let r = assert_reduce_pin(
+        ReduceConfig::in_network(),
+        REDUCE_EVENTS_SEED7,
+        REDUCE_LEN_SEED7,
+        REDUCE_DIGEST_SEED7,
+        REDUCE_DIGEST_SEED11,
+    );
+    assert!(r.merges > 0, "the ToRs must merge contributions");
+}
+
+#[test]
+fn small_reduce_table_digest_matches_the_committed_constants() {
+    let r = assert_reduce_pin(
+        ReduceConfig {
+            table_entries: SMALL_TABLE_ENTRIES,
+            ..ReduceConfig::in_network()
+        },
+        SMALL_TABLE_EVENTS_SEED7,
+        SMALL_TABLE_LEN_SEED7,
+        SMALL_TABLE_DIGEST_SEED7,
+        SMALL_TABLE_DIGEST_SEED11,
+    );
+    assert!(r.merges > 0, "the small table must still merge: {r:?}");
+    assert!(
+        r.bypassed > 0,
+        "the small table must fill and bypass: {r:?}"
     );
 }
 
