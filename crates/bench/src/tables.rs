@@ -1338,11 +1338,12 @@ pub fn ext_partition(o: &BenchOpts) -> String {
 /// Every issued read carries one partial-sum contribution toward the
 /// row's owner. The software baseline ships contributions to the root
 /// unmerged; the in-network transport folds rack-mates' contributions
-/// in the source ToR's partial-sum table (a `Reduce` pipeline handler),
-/// so the root's downlink sees one merged PR where the baseline saw
-/// many. The sweep crosses the transport with the Property Cache
-/// because the cache reshapes the *read* traffic sharing the same
-/// links — contribution volume itself is invariant to it.
+/// in the source ToR's partial-sum table (a middle-pipe step between the
+/// Property Cache and concatenation), so the root's downlink sees one
+/// merged PR where the baseline saw many. The sweep crosses the
+/// transport with the Property Cache because the cache reshapes the
+/// *read* traffic sharing the same links — contribution volume itself is
+/// invariant to it.
 pub fn ext_reduce(o: &BenchOpts) -> String {
     let o = o.scaled(0.5);
     let k = 16;

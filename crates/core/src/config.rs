@@ -570,9 +570,9 @@ impl Default for Mechanisms {
 /// When `enabled`, every issued read PR also emits one partial-sum
 /// *contribution* PR ([`netsparse_snic::PrKind::Partial`]) toward the
 /// owner of its output row, modeling the scatter half of SpMM. When
-/// `in_network` is additionally set, edge switches run a `Reduce` pipeline
-/// handler that merges contributions per row in a bounded partial-sum
-/// table before forwarding, cutting the bytes arriving at each root.
+/// `in_network` is additionally set, edge switches merge contributions per
+/// row in a bounded partial-sum table in their middle pipes before
+/// forwarding, cutting the bytes arriving at each root.
 /// Comparing `in_network` on vs off at fixed `enabled` isolates the
 /// mechanism's saving; `enabled: false` (the default everywhere) produces
 /// zero Partial traffic and leaves every existing scenario byte-identical.

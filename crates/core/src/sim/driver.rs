@@ -192,22 +192,18 @@ impl<'a> World<'a> {
     #[cfg(feature = "trace")]
     fn attach_tracer(&mut self, tracer: &Tracer) {
         for st in &mut self.nodes {
-            let p = st.id;
             for u in &mut st.units {
                 u.rig.set_tracer(tracer.clone());
             }
-            st.pipeline.set_tracer(
-                tracer,
-                TrackId::node(p, lane::CONCAT),
-                TrackId::node(p, lane::CACHE),
-            );
+            st.concat
+                .set_tracer(tracer.clone(), TrackId::node(st.id, lane::CONCAT));
         }
         for st in &mut self.racks {
-            st.pipeline.set_tracer(
-                tracer,
-                TrackId::switch(st.id, lane::CONCAT),
-                TrackId::switch(st.id, lane::CACHE),
-            );
+            st.concat
+                .set_tracer(tracer.clone(), TrackId::switch(st.id, lane::CONCAT));
+            if let Some(cache) = &mut st.cache {
+                cache.set_tracer(tracer.clone(), TrackId::switch(st.id, lane::CACHE));
+            }
         }
         for (i, link) in self.fabric.links.iter_mut().enumerate() {
             link.set_tracer(tracer.clone(), TrackId::link(i as u32));
@@ -249,13 +245,13 @@ impl<'a> World<'a> {
     #[cfg(any(debug_assertions, feature = "audit"))]
     fn audit_end_of_run(&self, comm_end: SimTime) {
         for s in &self.racks {
-            if let Some(p) = s.pipeline.pipes() {
-                p.check_invariants();
+            if let Some(cache) = &s.cache {
+                cache.check_invariants();
             }
         }
         for n in &self.nodes {
             self.shared.audit.check(
-                n.pipeline.concat().queued_prs() == 0,
+                n.concat.queued_prs() == 0,
                 "NIC concatenators drained at end of run",
             );
             self.shared.audit.check(
@@ -265,11 +261,11 @@ impl<'a> World<'a> {
         }
         for s in &self.racks {
             self.shared.audit.check(
-                s.pipeline.concat().queued_prs() == 0,
+                s.concat.queued_prs() == 0,
                 "switch concatenators drained at end of run",
             );
             self.shared.audit.check(
-                s.pipeline.reduce_in_flight() == 0,
+                s.reduce.as_ref().is_none_or(|t| t.in_flight() == 0),
                 "reduce tables drained at end of run",
             );
         }
@@ -315,19 +311,19 @@ impl<'a> World<'a> {
         fr.degraded_nodes = self.nodes.iter().filter(|n| n.degraded_mode).count() as u64;
         let mut prs_per_packet = Histogram::new();
         for n in &self.nodes {
-            prs_per_packet.merge(n.pipeline.concat().prs_per_packet());
+            prs_per_packet.merge(n.concat.prs_per_packet());
         }
         let mut cache_lookups = 0;
         let mut cache_hits = 0;
         let mut reduce_merges = 0;
         let mut reduce_bypassed = 0;
         for s in &self.racks {
-            prs_per_packet.merge(s.pipeline.concat().prs_per_packet());
-            if let Some(cs) = s.pipeline.pipes().map(|p| p.stats()) {
+            prs_per_packet.merge(s.concat.prs_per_packet());
+            if let Some(cs) = s.cache.as_ref().map(|c| c.stats()) {
                 cache_lookups += cs.lookups;
                 cache_hits += cs.hits;
             }
-            if let Some(rs) = s.pipeline.reduce_stats() {
+            if let Some(rs) = s.reduce.as_ref().map(|t| t.stats()) {
                 reduce_merges += rs.merged;
                 reduce_bypassed += rs.bypassed;
             }

@@ -34,13 +34,11 @@
 //!   routing map;
 //! - `node` — the host + SNIC command lifecycle (issue, scan, serve,
 //!   respond, watchdog recovery), one component per rank;
-//! - `rack` — one component per switch: Property-Cache probe/fill and
-//!   cross-node concatenation at ToRs, verbatim forwarding at spines;
+//! - `rack` — one component per switch: the middle pipes at ToRs
+//!   (Property-Cache probe/fill, in-network reduction and cross-node
+//!   concatenation, in that fixed order), verbatim forwarding at spines;
 //! - `fabric` — the shared transport substrate: links, routing tables,
 //!   failover reconvergence;
-//! - `pipeline` — the pluggable handler pipeline NIC and middle-pipe
-//!   components drive generically: Property-Cache, in-network reduction
-//!   and concatenation as [`Handler`](pipeline::Handler) stages;
 //! - `driver` — the component wiring and the single generic event loop
 //!   behind [`simulate`] (and `simulate_traced` under the `trace`
 //!   feature), with auditing and tracing injected as feature-gated hooks.
@@ -50,7 +48,6 @@ mod error;
 mod events;
 mod fabric;
 mod node;
-mod pipeline;
 mod rack;
 
 pub use driver::{simulate, try_simulate};

@@ -18,7 +18,8 @@ use std::collections::VecDeque;
 use netsparse_desim::{Scheduler, SimTime};
 use netsparse_snic::protocol::partial_contrib_value;
 use netsparse_snic::{
-    ConcatConfig, ConcatPacket, ConcatPoint, IdxFilter, IdxOutcome, Pr, PrKind, RigClient,
+    ConcatConfig, ConcatPacket, ConcatPoint, HeaderSpec, IdxFilter, IdxOutcome, Pr, PrKind,
+    RigClient,
 };
 use netsparse_sparse::CommWorkload;
 
@@ -28,13 +29,37 @@ use netsparse_desim::trace::{lane, TraceEvent, TrackId};
 use crate::config::{ClusterConfig, ConcatImpl};
 use crate::sim::driver::{Component, Ctx};
 use crate::sim::events::Event;
-use crate::sim::pipeline::{Pipeline, PrCtx};
 
 /// Instantiates a concatenation point for the configured implementation.
 pub(crate) fn concat_point(cfg: ConcatConfig, implementation: ConcatImpl) -> ConcatPoint {
     match implementation {
         ConcatImpl::Dedicated => ConcatPoint::dedicated(cfg),
         ConcatImpl::Virtual(pool) => ConcatPoint::virtualized(cfg, pool),
+    }
+}
+
+/// A NIC's send path during one event: PRs enter its concatenation point,
+/// or, when `degraded` (§7.1), each leaves alone in a singleton packet
+/// that switches forward verbatim, never concatenated or cached.
+struct Egress<'a> {
+    concat: &'a mut ConcatPoint,
+    out: &'a mut Vec<(SimTime, ConcatPacket)>,
+    headers: HeaderSpec,
+    degraded: bool,
+}
+
+impl Egress<'_> {
+    /// Sends `pr` of `kind`, carrying `payload` bytes, toward `dest` at `t`.
+    #[inline]
+    fn send(&mut self, t: SimTime, dest: u32, kind: PrKind, pr: Pr, payload: u32) {
+        let out = &mut *self.out;
+        if self.degraded {
+            let pkt = ConcatPacket::degraded_singleton(&self.headers, dest, kind, pr, payload);
+            out.push((t, pkt));
+        } else {
+            self.concat
+                .push_with(t, dest, kind, pr, payload, |p| out.push((t, p)));
+        }
     }
 }
 
@@ -151,8 +176,9 @@ pub(crate) struct NodeState {
     /// The Idx Filter: the distinct idxs a response has arrived for (the
     /// functional check compares it against the stream's remote idxs).
     pub(crate) filter: IdxFilter,
-    /// The NIC egress handler pipeline (terminal concat stage only).
-    pub(crate) pipeline: Pipeline,
+    /// The NIC's concatenation point: every PR the node sends outside
+    /// degraded mode leaves through it.
+    pub(crate) concat: ConcatPoint,
     pub(crate) concat_sched: Option<SimTime>,
     pub(crate) server_busy: SimTime,
     pub(crate) host_busy: SimTime,
@@ -239,7 +265,7 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, wl: &CommWorkload) -> Vec<NodeSta
                     })
                     .collect(),
                 filter: IdxFilter::new(wl.n_cols()),
-                pipeline: Pipeline::for_nic(concat_point(nic_concat_cfg, cfg.concat_impl)),
+                concat: concat_point(nic_concat_cfg, cfg.concat_impl),
                 concat_sched: None,
                 server_busy: SimTime::ZERO,
                 host_busy: SimTime::ZERO,
@@ -286,7 +312,7 @@ impl Component for NodeState {
 impl NodeState {
     /// (Re-)schedules the earliest pending concatenator expiry.
     fn arm_concat(&mut self, sched: &mut Scheduler<'_, Event>) {
-        if let Some(t) = self.pipeline.next_concat_expiry() {
+        if let Some(t) = self.concat.next_expiry() {
             let t = t.max(sched.now());
             if self.concat_sched.is_none_or(|cur| t < cur) {
                 self.concat_sched = Some(t);
@@ -300,7 +326,7 @@ impl NodeState {
     fn concat_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         self.concat_sched = None;
         let mut out = std::mem::take(&mut self.out_buf);
-        self.pipeline.flush_concat(now, &mut out);
+        self.concat.flush_expired_with(now, |p| out.push((now, p)));
         ctx.fabric.send_batch_from_nic(self.id, &mut out, ctx.sched);
         self.out_buf = out;
         self.arm_concat(ctx.sched);
@@ -382,7 +408,6 @@ impl NodeState {
         let wl = ctx.wl;
         let chunk = cfg.snic.idx_chunk();
         let mechanisms = cfg.mechanisms;
-        let headers = cfg.headers;
         let cycle = self.cycle;
         let degraded_mode = self.degraded_mode;
         let id = self.id;
@@ -397,14 +422,19 @@ impl NodeState {
         let mut degraded_sent = 0u64;
 
         {
-            let topo = ctx.fabric.topology();
             let NodeState {
                 units,
                 filter,
-                pipeline,
+                concat,
                 issue_times,
                 ..
             } = self;
+            let mut nic = Egress {
+                concat,
+                out: &mut out,
+                headers: cfg.headers,
+                degraded: degraded_mode,
+            };
             let unit = &mut units[unit_id as usize];
             let Some((_, end)) = unit.cmd else {
                 return; // spurious wakeup after completion
@@ -453,30 +483,9 @@ impl NodeState {
                         ctx.shared.audit.issue("pr");
                         issue_times.record(unit_id, pr.req_id, t_pr);
                         let dest = partition.owner(idx);
-                        let prc = PrCtx {
-                            sw: id,
-                            pkt_dest: dest,
-                            payload,
-                            topo,
-                            partition,
-                        };
+                        nic.send(t_pr, dest, PrKind::Read, pr, 0);
                         if degraded_mode {
-                            // §7.1 escalation: bypass concatenation and
-                            // the cached switch path entirely — one bare
-                            // packet per PR, forwarded verbatim.
                             degraded_sent += 1;
-                            out.push((
-                                t_pr,
-                                ConcatPacket::degraded_singleton(
-                                    &headers,
-                                    dest,
-                                    PrKind::Read,
-                                    pr,
-                                    0,
-                                ),
-                            ));
-                        } else {
-                            pipeline.run(t_pr, pr, PrKind::Read, &prc, &mut out);
                         }
                         if reduce_on {
                             // One contribution per issued read, toward the
@@ -486,20 +495,7 @@ impl NodeState {
                             ctx.shared.reduce.contribs_issued += 1;
                             ctx.shared.reduce.value_issued =
                                 ctx.shared.reduce.value_issued.wrapping_add(v);
-                            if degraded_mode {
-                                out.push((
-                                    t_pr,
-                                    ConcatPacket::degraded_singleton(
-                                        &headers,
-                                        dest,
-                                        PrKind::Partial,
-                                        contrib,
-                                        payload,
-                                    ),
-                                ));
-                            } else {
-                                pipeline.run(t_pr, contrib, PrKind::Partial, &prc, &mut out);
-                            }
+                            nic.send(t_pr, dest, PrKind::Partial, contrib, payload);
                         }
                     }
                     IdxOutcome::Local | IdxOutcome::Filtered | IdxOutcome::Coalesced => {
@@ -597,49 +593,25 @@ impl NodeState {
     }
 
     /// Server path: fetch each requested property over PCIe and emit a
-    /// response PR.
+    /// response PR. Degraded requests get degraded responses: the same
+    /// bare forward-only path back to the requester.
     fn serve_reads(&mut self, now: SimTime, pkt: ConcatPacket, ctx: &mut Ctx<'_, '_, '_>) {
         debug_assert_eq!(pkt.dest, self.id, "read packet delivered to wrong node");
         let payload = ctx.shared.payload;
         let pcie_lat = ctx.shared.pcie_lat;
-        let headers = ctx.cfg.headers;
-        let degraded = pkt.degraded;
         let mut out = std::mem::take(&mut self.out_buf);
-        {
-            let topo = ctx.fabric.topology();
-            let partition = ctx.wl.partition();
-            let svc = self.serve;
-            for &pr in &pkt.prs {
-                let t = self.server_busy.max(now) + svc;
-                self.server_busy = t;
-                let t_resp = t + pcie_lat;
-                if degraded {
-                    // Degraded requests get degraded responses: same bare
-                    // forward-only path back to the requester.
-                    out.push((
-                        t_resp,
-                        ConcatPacket::degraded_singleton(
-                            &headers,
-                            pr.src_node,
-                            PrKind::Response,
-                            pr,
-                            payload,
-                        ),
-                    ));
-                } else {
-                    let prc = PrCtx {
-                        sw: self.id,
-                        pkt_dest: pr.src_node,
-                        payload,
-                        topo,
-                        partition,
-                    };
-                    self.pipeline
-                        .run(t_resp, pr, PrKind::Response, &prc, &mut out);
-                }
-            }
+        let mut nic = Egress {
+            concat: &mut self.concat,
+            out: &mut out,
+            headers: ctx.cfg.headers,
+            degraded: pkt.degraded,
+        };
+        for &pr in &pkt.prs {
+            let t = self.server_busy.max(now) + self.serve;
+            self.server_busy = t;
+            nic.send(t + pcie_lat, pr.src_node, PrKind::Response, pr, payload);
         }
-        self.pipeline.concat_mut().recycle(pkt.prs);
+        self.concat.recycle(pkt.prs);
         ctx.fabric.send_batch_from_nic(self.id, &mut out, ctx.sched);
         self.out_buf = out;
         self.arm_concat(ctx.sched);
@@ -705,7 +677,7 @@ impl NodeState {
                 }
             }
         }
-        self.pipeline.concat_mut().recycle(pkt.prs);
+        self.concat.recycle(pkt.prs);
         for u in wake.drain(..) {
             ctx.sched.schedule(
                 now,
@@ -735,7 +707,7 @@ impl NodeState {
             r.contribs_delivered += pr.partial_contribs();
             r.value_delivered = r.value_delivered.wrapping_add(pr.partial_value());
         }
-        self.pipeline.concat_mut().recycle(pkt.prs);
+        self.concat.recycle(pkt.prs);
     }
 
     /// §7.1 recovery: the RIG operation timed out. Abandon outstanding

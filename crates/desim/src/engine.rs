@@ -387,12 +387,6 @@ impl<E> Scheduler<'_, E> {
         self.queue.push_lane(lane, time, event);
     }
 
-    /// Schedules `event` after a relative delay from now.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.queue.push(self.now + delay, event);
-    }
-
     /// Schedules `event` at the current instant (delivered after all events
     /// already queued for this instant, preserving FIFO order).
     #[inline]

@@ -1,63 +1,10 @@
-//! Measurement utilities shared by every model in the workspace.
+//! Measurement utilities shared by every model in the workspace:
 //!
-//! All the paper's reported metrics reduce to four primitives:
-//!
-//! - [`Counter`] — monotonically increasing event/byte counts (traffic,
-//!   filtered PRs, cache hits…),
 //! - [`Histogram`] — distributions (PRs per packet, queue depths…),
 //! - [`RateMeter`] — bytes over a time window → bandwidth/goodput,
-//! - [`TimeSeries`] — sampled values over simulated time (Figure 19's
-//!   active-node curve).
+//! - [`Reservoir`] — a bounded sample for percentiles (PR latencies).
 
 use crate::time::SimTime;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use netsparse_desim::Counter;
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one to the counter.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// This counter as a fraction of `total` (0 when `total` is 0).
-    pub fn fraction_of(&self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
-    }
-}
 
 /// A streaming histogram that records count, sum, min, max, and mean without
 /// storing samples.
@@ -179,11 +126,6 @@ impl RateMeter {
         self.bytes
     }
 
-    /// Timestamp of the latest recorded transfer.
-    pub fn last_activity(&self) -> SimTime {
-        self.last
-    }
-
     /// Average rate in bits/s over `[0, elapsed]` (0 for zero elapsed).
     pub fn rate_bps(&self, elapsed: SimTime) -> f64 {
         let secs = elapsed.as_secs_f64();
@@ -285,87 +227,9 @@ impl Reservoir {
     }
 }
 
-/// A sampled series of `(time, value)` points over simulated time.
-///
-/// Figure 19 of the paper plots the number of still-active nodes against
-/// normalized execution time; models append samples and the bench harness
-/// resamples onto a normalized grid.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a sample. Samples must arrive in nondecreasing time order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous sample's timestamp.
-    pub fn record(&mut self, now: SimTime, value: f64) {
-        if let Some(&(t, _)) = self.points.last() {
-            assert!(now >= t, "TimeSeries samples must be time-ordered");
-        }
-        self.points.push((now, value));
-    }
-
-    /// The raw samples.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Step-resamples the series at `n` evenly spaced points across
-    /// `[0, end]`, holding the last seen value between samples. Returns an
-    /// empty vector if the series is empty or `n == 0`.
-    pub fn resample(&self, end: SimTime, n: usize) -> Vec<f64> {
-        if self.points.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(n);
-        let mut idx = 0usize;
-        let mut current = self.points[0].1;
-        for i in 0..n {
-            // Pure integer division in u128 — no float rounding involved,
-            // the cast only narrows. simaudit:allow(no-raw-time-math)
-            let t = SimTime::from_ps(((end.as_ps() as u128 * i as u128) / n.max(1) as u128) as u64);
-            while idx < self.points.len() && self.points[idx].0 <= t {
-                current = self.points[idx].1;
-                idx += 1;
-            }
-            out.push(current);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.add(10);
-        c.incr();
-        assert_eq!(c.get(), 11);
-        assert!((c.fraction_of(22) - 0.5).abs() < 1e-12);
-        assert_eq!(c.fraction_of(0), 0.0);
-    }
 
     #[test]
     fn histogram_tracks_summary_stats() {
@@ -407,20 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_resamples_with_step_hold() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::ZERO, 128.0);
-        ts.record(SimTime::from_ns(50), 64.0);
-        ts.record(SimTime::from_ns(90), 1.0);
-        let r = ts.resample(SimTime::from_ns(100), 10);
-        assert_eq!(r.len(), 10);
-        assert_eq!(r[0], 128.0);
-        assert_eq!(r[4], 128.0); // t=40ns, still 128
-        assert_eq!(r[5], 64.0); // t=50ns
-        assert_eq!(r[9], 1.0); // t=90ns
-    }
-
-    #[test]
     fn reservoir_is_exact_under_capacity() {
         let mut r = Reservoir::new(10, 1);
         for v in [5u64, 1, 9] {
@@ -447,13 +297,5 @@ mod tests {
     #[test]
     fn reservoir_empty_quantile_is_none() {
         assert_eq!(Reservoir::new(4, 0).quantile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "time-ordered")]
-    fn timeseries_rejects_unordered_samples() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_ns(10), 1.0);
-        ts.record(SimTime::from_ns(5), 2.0);
     }
 }

@@ -14,8 +14,8 @@
 //! forwarding under pressure and never loses a contribution.
 //!
 //! Like every other hardware model in this crate the table is a pure
-//! state machine: the event loop (`netsparse::sim`) drives it through a
-//! pipeline handler and owns all scheduling.
+//! state machine: the rack component of the event loop (`netsparse::sim`)
+//! folds partials into it in its middle pipes and owns all scheduling.
 
 use netsparse_desim::SimTime;
 use netsparse_snic::{Pr, PrKind};

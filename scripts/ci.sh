@@ -16,18 +16,20 @@
 # on (see docs/OBSERVABILITY.md), the repo benchmark's tests in its
 # per-layer (`trace`) build, smoke runs of the ext_fault_sweep and
 # ext_trace sections of the `repro` binary, byte-for-byte checks of the
-# table1, table4, table7 and characterize sections against the committed
-# docs/sample_output/repro_all.txt, the serial-vs-parallel sweep
-# equivalence suite, a timed serial-vs-parallel sweep smoke via
+# table1, table4, table7, characterize and ext_virtual_cq sections
+# against the committed docs/sample_output/repro_all.txt, the
+# serial-vs-parallel sweep equivalence suite, a timed
+# serial-vs-parallel sweep smoke via
 # `bench_sweep`, whose serial vs parallel wall-clock JSON goes to the
 # BENCH_sweep.ci.json artifact (the committed BENCH_sweep.json, the same
 # command's output on a 2-vCPU VM, is left alone; see
 # docs/ARCHITECTURE.md), a timed `bench_engine` smoke
 # gating events/sec against the committed BENCH_engine.json (>20%
-# regression fails), the in-network reduction invariant tests plus an
-# ext_reduce section smoke (see docs/ARCHITECTURE.md §Handler
-# pipelines), and a 50-seed chaoscheck smoke plus shrinker demo emitting
-# the CHAOS_report.json artifact and a 16-seed pass over the reduction
+# regression fails), the in-network reduction invariant tests plus a
+# byte-for-byte check of the ext_reduce section (see
+# docs/ARCHITECTURE.md §Middle pipes), and a 50-seed chaoscheck smoke
+# plus shrinker demo emitting the CHAOS_report.json artifact and a
+# 16-seed pass over the reduction
 # slice of the seed space (bit 32 set) emitting CHAOS_reduce_report.json
 # (see docs/FAULTS.md §Chaos testing).
 set -euo pipefail
@@ -84,6 +86,8 @@ if [[ "$fast" -eq 0 ]]; then
     check_section table4 "Table 4"
     check_section table7 "Table 7"
     check_section characterize "Workload characterization"
+    # The §7.2 virtual-CQ table simulates every matrix with both pools.
+    check_section ext_virtual_cq "Extension: virtual CQs (§7.2)"
     # Structured tracing: golden trace, trace-vs-metrics consistency,
     # exporter validity and the protocol property suite, with the tracer
     # and the release auditor both compiled in.
@@ -110,11 +114,12 @@ if [[ "$fast" -eq 0 ]]; then
     run cargo run --release -q -p netsparse-bench --bin bench_engine -- \
         --quick --check-against BENCH_engine.json
     # In-network reduction: the conservation/ablation invariants with the
-    # release auditor on, then a scenario smoke of the ext_reduce table
-    # (asserts contribution conservation in every cell).
+    # release auditor on, then the ext_reduce table, which asserts
+    # contribution conservation in every cell and must print exactly its
+    # committed section (bytes and merges included).
     run cargo test -q -p netsparse-tests --features audit --release \
         --test switch_semantics --test mechanism_invariants -- reduc
-    run cargo run --release -q -p netsparse-bench --bin repro -- ext_reduce --scale 0.1
+    check_section ext_reduce "Extension: in-network reduction"
     # Chaos smoke: 50 seeded scenarios through the oracle suite with the
     # runtime auditor on. Exits non-zero on any oracle violation or
     # liveness stall; CHAOS_report.json is archived like lint_report.json.

@@ -25,8 +25,6 @@ const COLD_FNS: &[&str] = &[
     "with_capacity",
     "build_nodes",
     "build_racks",
-    "for_rack",
-    "for_nic",
     "into_report",
     "attach_tracer",
     "audit_end_of_run",
