@@ -1339,8 +1339,9 @@ pub fn ext_partition(o: &BenchOpts) -> String {
 /// row's owner. The software baseline ships contributions to the root
 /// unmerged; the in-network transport folds rack-mates' contributions
 /// in the source ToR's partial-sum table (a middle-pipe step between the
-/// Property Cache and concatenation), so the root's downlink sees one
-/// merged PR where the baseline saw many. The sweep crosses the
+/// Property Cache and concatenation), and inter-rack ones again in the
+/// root's ToR, so the root's downlink sees merged PRs where the baseline
+/// saw many. The `merges` column counts folds per table traversal. The sweep crosses the
 /// transport with the Property Cache because the cache reshapes the
 /// *read* traffic sharing the same links — contribution volume itself is
 /// invariant to it.

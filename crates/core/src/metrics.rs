@@ -127,11 +127,15 @@ pub struct ReduceReport {
     pub value_delivered: u32,
     /// Wrapping sum of dropped contribution values.
     pub value_dropped: u32,
-    /// Contributions folded into existing partial-sum table entries — each
-    /// one is a PR that stopped traveling at a switch.
+    /// Partial PRs folded into an existing partial-sum table entry, each
+    /// one a PR that stopped traveling at a switch. Counted per table
+    /// traversal, not per contribution: an inter-rack partial meets a
+    /// table at its source ToR and again at its root's ToR, and a merged
+    /// PR counts once however many contributions it carries.
     pub merges: u64,
-    /// Contributions forwarded unmerged because a table was full (or a
-    /// fold would overflow the PR-layer count field).
+    /// Partial PRs a table passed on unmerged because it was full (or a
+    /// fold would overflow the PR-layer count field), counted per table
+    /// traversal like `merges`.
     pub bypassed: u64,
     /// Partial PRs that arrived at root NICs (merged or not).
     pub partial_prs_at_root: u64,

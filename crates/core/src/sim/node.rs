@@ -159,7 +159,8 @@ pub(crate) struct ClientUnit {
     /// watchdog events check it and stand down.
     pub(crate) generation: u64,
     /// Properties delivered for the current command (discarded on a
-    /// watchdog failure, per §7.1).
+    /// watchdog failure, per §7.1). Filled only when the watchdog is
+    /// armed (`faults.watchdog_ns > 0`), since only it reads them.
     pub(crate) received_this_cmd: Vec<u32>,
     /// Watchdog restarts suffered by this unit (lifetime total).
     pub(crate) retries: u64,
@@ -623,6 +624,7 @@ impl NodeState {
         debug_assert_eq!(pkt.dest, self.id, "response packet delivered to wrong node");
         #[cfg(feature = "trace")]
         let id = self.id;
+        let watchdog_armed = ctx.cfg.faults.watchdog_ns > 0;
         let mut wake = std::mem::take(&mut self.wake_buf);
         let mut completed = std::mem::take(&mut self.done_buf);
         {
@@ -660,7 +662,7 @@ impl NodeState {
                 }
                 let unit = &mut units[pr.src_tid as usize];
                 unit.rig.complete(pr.idx, filter);
-                if unit.cmd.is_some() {
+                if watchdog_armed && unit.cmd.is_some() {
                     unit.received_this_cmd.push(pr.idx);
                 }
                 self.responses += 1;

@@ -59,6 +59,6 @@ pub use audit::Auditor;
 pub use engine::{Engine, EventQueue, Liveness, Scheduler, StallCause, StallReport};
 pub use faults::{LossModel, LossProcess};
 pub use rng::SplitMix64;
-pub use stats::{Histogram, RateMeter, Reservoir};
+pub use stats::{Histogram, Reservoir};
 pub use time::{Clock, SimTime};
 pub use trace::{TraceConfig, TraceReport, Tracer};

@@ -1,10 +1,7 @@
 //! Measurement utilities shared by every model in the workspace:
 //!
 //! - [`Histogram`] — distributions (PRs per packet, queue depths…),
-//! - [`RateMeter`] — bytes over a time window → bandwidth/goodput,
 //! - [`Reservoir`] — a bounded sample for percentiles (PR latencies).
-
-use crate::time::SimTime;
 
 /// A streaming histogram that records count, sum, min, max, and mean without
 /// storing samples.
@@ -84,70 +81,6 @@ impl Histogram {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-    }
-}
-
-/// Tracks bytes transferred over simulated time and converts to rates.
-///
-/// Used for line utilization and goodput: record *wire* bytes in one meter
-/// and *payload* bytes in another, then divide by elapsed time or by the
-/// line rate.
-///
-/// # Example
-///
-/// ```
-/// use netsparse_desim::{RateMeter, SimTime};
-/// let mut m = RateMeter::new();
-/// m.record(SimTime::from_us(1), 5_000); // 5 KB by t=1us
-/// let gbps = m.rate_gbps(SimTime::from_us(1));
-/// assert!((gbps - 40.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RateMeter {
-    bytes: u64,
-    last: SimTime,
-}
-
-impl RateMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` transferred, stamped at `now`.
-    #[inline]
-    pub fn record(&mut self, now: SimTime, bytes: u64) {
-        self.bytes += bytes;
-        self.last = self.last.max(now);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Average rate in bits/s over `[0, elapsed]` (0 for zero elapsed).
-    pub fn rate_bps(&self, elapsed: SimTime) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 * 8.0 / secs
-        }
-    }
-
-    /// Average rate in Gbit/s over `[0, elapsed]`.
-    pub fn rate_gbps(&self, elapsed: SimTime) -> f64 {
-        self.rate_bps(elapsed) / 1e9
-    }
-
-    /// This meter's average rate as a fraction of `line_rate_bps`.
-    pub fn utilization(&self, elapsed: SimTime, line_rate_bps: f64) -> f64 {
-        if line_rate_bps <= 0.0 {
-            0.0
-        } else {
-            self.rate_bps(elapsed) / line_rate_bps
-        }
     }
 }
 
@@ -258,16 +191,6 @@ mod tests {
         let mut empty = Histogram::new();
         empty.merge(&a);
         assert_eq!(empty.count(), 2);
-    }
-
-    #[test]
-    fn rate_meter_computes_gbps_and_utilization() {
-        let mut m = RateMeter::new();
-        m.record(SimTime::from_us(2), 100_000); // 100 KB in 2 us = 400 Gbps
-        assert!((m.rate_gbps(SimTime::from_us(2)) - 400.0).abs() < 1e-9);
-        let util = m.utilization(SimTime::from_us(2), 400e9);
-        assert!((util - 1.0).abs() < 1e-12);
-        assert_eq!(m.rate_bps(SimTime::ZERO), 0.0);
     }
 
     #[test]

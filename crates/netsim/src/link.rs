@@ -1,6 +1,6 @@
 //! Link timing: serialization, propagation and backlog tracking.
 
-use netsparse_desim::{RateMeter, SimTime};
+use netsparse_desim::SimTime;
 
 #[cfg(feature = "trace")]
 use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
@@ -70,7 +70,7 @@ pub struct Link {
     params: LinkParams,
     busy_until: SimTime,
     max_backlog: SimTime,
-    meter: RateMeter,
+    bytes: u64,
     packets: u64,
     /// The last packet size transmitted and its serialization time. A
     /// link mostly carries runs of one size, so this spares the f64
@@ -87,7 +87,7 @@ impl Link {
             params,
             busy_until: SimTime::ZERO,
             max_backlog: SimTime::ZERO,
-            meter: RateMeter::new(),
+            bytes: 0,
             packets: 0,
             last_serialization: (0, params.serialization(0)),
             #[cfg(feature = "trace")]
@@ -118,7 +118,7 @@ impl Link {
             self.last_serialization = (bytes, self.params.serialization(bytes));
         }
         self.busy_until = depart + self.last_serialization.1;
-        self.meter.record(self.busy_until, bytes);
+        self.bytes += bytes;
         self.packets += 1;
         #[cfg(feature = "trace")]
         if let Some((tracer, track)) = &self.tracer {
@@ -145,7 +145,7 @@ impl Link {
 
     /// Total bytes carried.
     pub fn bytes(&self) -> u64 {
-        self.meter.bytes()
+        self.bytes
     }
 
     /// Total packets carried.
@@ -153,9 +153,16 @@ impl Link {
         self.packets
     }
 
-    /// Utilization of the line rate over `[0, elapsed]`.
+    /// Utilization of the line rate over `[0, elapsed]`: the carried
+    /// bits per second over the line rate (0 for zero elapsed time).
     pub fn utilization(&self, elapsed: SimTime) -> f64 {
-        self.meter.utilization(elapsed, self.params.bandwidth_bps)
+        let secs = elapsed.as_secs_f64();
+        let line_rate = self.params.bandwidth_bps;
+        if secs <= 0.0 || line_rate <= 0.0 {
+            0.0
+        } else {
+            self.bytes as f64 * 8.0 / secs / line_rate
+        }
     }
 }
 
@@ -198,6 +205,7 @@ mod tests {
         l.transmit(SimTime::ZERO, 12_500); // 1 us of wire time
         let u = l.utilization(SimTime::from_us(2));
         assert!((u - 0.5).abs() < 1e-9, "{u}");
+        assert_eq!(l.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

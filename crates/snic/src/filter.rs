@@ -7,14 +7,17 @@
 //! makes every later PR for the idx redundant.
 //!
 //! The simulation keeps the same one-bit-per-column semantics as a paged
-//! bitset: the column space is cut into fixed 4,096-bit pages, and a
-//! page's words are allocated only when one of its bits is first set. A
-//! node's stream reaches only part of the column space, so each simulated
-//! node holds only the pages its stream reaches, at any column count up
-//! to `u32::MAX`.
+//! bitset: the column space is cut into fixed 512-bit pages, and a page's
+//! words are allocated only when one of its bits is first set. A node's
+//! stream reaches only part of the column space, and its remote idxs are
+//! sparse in it (uk's 128 filters hold 148,486 set bits over 1.0 M
+//! columns each), so each simulated node holds only the pages its stream
+//! reaches, at any column count up to `u32::MAX`.
 
-/// Bits per page: 64 words (512 B) of the bit vector.
-const PAGE_BITS: u32 = 4_096;
+/// Bits per page: 8 words (64 B, one cache line) of the bit vector.
+/// Small pages suit sparse filters: an allocated page holds little unused
+/// space, at the cost of a 4-byte directory entry per 512 columns.
+const PAGE_BITS: u32 = 512;
 const PAGE_SHIFT: u32 = PAGE_BITS.trailing_zeros();
 const PAGE_WORDS: usize = (PAGE_BITS / 64) as usize;
 
@@ -28,9 +31,9 @@ const ZERO_PAGE: Page = [0; PAGE_WORDS];
 
 /// A set of idx bits over `[0, n_cols)`.
 ///
-/// Backed by a page directory with one entry per 4,096 columns and
-/// a slab of word pages, each allocated by the first insert into its
-/// range. `contains` is two loads: the directory entry, then the word.
+/// Backed by a page directory with one entry per 512 columns and a
+/// slab of 64-byte word pages, each allocated by the first insert into
+/// its range. `contains` is two loads: the directory entry, then the word.
 /// Equality compares the set bits, not which pages happen to be allocated.
 ///
 /// # Example
@@ -54,7 +57,7 @@ pub struct IdxFilter {
 
 impl IdxFilter {
     /// Creates an empty filter over `n_cols` idxs. Only the page
-    /// directory is allocated (4 bytes per 4,096 columns).
+    /// directory is allocated (4 bytes per 512 columns).
     pub fn new(n_cols: u32) -> Self {
         IdxFilter {
             n_cols,
@@ -235,6 +238,31 @@ mod tests {
         assert!(f.remove(n - 1) && f.remove(0));
         assert!(!f.contains(n - 1) && !f.contains(0) && f.contains(n - 2));
         assert_eq!(f.len(), 3);
+    }
+
+    #[test]
+    fn page_edges_and_a_partial_last_page() {
+        // Two full pages and a last page of 76 columns.
+        let n = 2 * PAGE_BITS + 76;
+        let mut f = IdxFilter::new(n);
+        assert_eq!(f.dir.len(), 3);
+        let set = [511, 512, 513, 2 * PAGE_BITS, n - 1];
+        for idx in set {
+            assert!(f.insert(idx), "idx {idx}");
+            assert!(!f.insert(idx), "idx {idx}");
+        }
+        // 511 ends page 0, 512 and 513 open page 1, the rest share page 2.
+        assert_eq!(f.pages.len(), 3);
+        assert!((0..n).all(|idx| f.contains(idx) == set.contains(&idx)));
+        assert!(f.remove(512) && !f.remove(512));
+        assert!(f.contains(511) && !f.contains(512) && f.contains(513));
+        assert!(f.remove(n - 1) && !f.contains(n - 1) && f.contains(2 * PAGE_BITS));
+        assert_eq!(f.len(), 3);
+        for idx in [511, 513, 2 * PAGE_BITS] {
+            assert!(f.remove(idx), "idx {idx}");
+        }
+        assert!(f.is_empty());
+        assert_eq!(f, IdxFilter::new(n));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! Functionally the cache is set-associative with true-LRU replacement
 //! (Table 5: 32 MB, 16 ways, 16-cycle access). The simulation models tags
 //! only — property payloads are synthesized deterministically end to end —
-//! but geometry, indexing and replacement are faithful.
+//! but geometry, indexing and replacement are faithful. Tags and
+//! replacement stamps live in two parallel arrays, 12 bytes per line, so
+//! a probe scans one set's tags contiguously (64 bytes at 16 ways) and
+//! reads a stamp only to refresh it or to pick a victim.
 
 #[cfg(feature = "trace")]
 use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
@@ -73,12 +76,9 @@ impl Default for PropertyCacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    idx: u32,
-    last_use: u64,
-    valid: bool,
-}
+/// Tag of an invalid line. No idx can take it (`idx < n_cols ≤
+/// u32::MAX`), the same reservation the Pending PR Table makes.
+const INVALID: u32 = u32::MAX;
 
 /// Hit/miss counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,7 +165,10 @@ pub struct PropertyCache {
     property_bytes: u32,
     segments_per_entry: u32,
     sets: usize,
-    lines: Vec<Line>, // sets x ways, row-major
+    /// Per line, sets × ways row-major: the cached idx, or [`INVALID`].
+    tags: Vec<u32>,
+    /// Per line: the tick of its last use (LRU) or its insertion (FIFO).
+    stamps: Vec<u64>,
     tick: u64,
     stats: CacheStats,
     #[cfg(feature = "trace")]
@@ -202,19 +205,14 @@ impl PropertyCache {
             cfg.ways
         );
         let sets = entries / cfg.ways as usize;
+        let lines = sets * cfg.ways as usize;
         PropertyCache {
             cfg,
             property_bytes,
             segments_per_entry,
             sets,
-            lines: vec![
-                Line {
-                    idx: 0,
-                    last_use: 0,
-                    valid: false
-                };
-                sets * cfg.ways as usize
-            ],
+            tags: vec![INVALID; lines],
+            stamps: vec![0; lines],
             tick: 0,
             stats: CacheStats::default(),
             #[cfg(feature = "trace")]
@@ -289,9 +287,25 @@ impl PropertyCache {
         }
     }
 
-    fn set_lines(&mut self, set: usize) -> &mut [Line] {
-        let w = self.cfg.ways as usize;
-        &mut self.lines[set * w..(set + 1) * w]
+    /// The first and one-past-last line of `idx`'s set.
+    #[inline]
+    fn set_bounds(&self, idx: u32) -> (usize, usize) {
+        let ways = self.cfg.ways as usize;
+        let base = self.set_of(idx) * ways;
+        (base, base + ways)
+    }
+
+    /// The line holding `idx`, if cached.
+    #[inline]
+    fn find(&self, idx: u32) -> Option<usize> {
+        if idx == INVALID {
+            return None;
+        }
+        let (base, end) = self.set_bounds(idx);
+        self.tags[base..end]
+            .iter()
+            .position(|&t| t == idx)
+            .map(|way| base + way)
     }
 
     /// Read-PR path: probes for `idx`, updating LRU and statistics.
@@ -299,19 +313,14 @@ impl PropertyCache {
     pub fn lookup(&mut self, idx: u32) -> bool {
         self.stats.lookups += 1;
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(idx);
-        let refresh = self.cfg.policy == ReplacementPolicy::Lru;
-        for line in self.set_lines(set) {
-            if line.valid && line.idx == idx {
-                if refresh {
-                    line.last_use = tick;
-                }
-                self.stats.hits += 1;
-                #[cfg(feature = "trace")]
-                self.trace(TraceEvent::CacheHit { idx });
-                return true;
+        if let Some(line) = self.find(idx) {
+            if self.cfg.policy == ReplacementPolicy::Lru {
+                self.stamps[line] = self.tick;
             }
+            self.stats.hits += 1;
+            #[cfg(feature = "trace")]
+            self.trace(TraceEvent::CacheHit { idx });
+            return true;
         }
         self.stats.misses += 1;
         #[cfg(feature = "trace")]
@@ -321,65 +330,56 @@ impl PropertyCache {
 
     /// Whether `idx` is cached, without perturbing LRU or statistics.
     pub fn contains(&self, idx: u32) -> bool {
-        let set = self.set_of(idx);
-        let w = self.cfg.ways as usize;
-        self.lines[set * w..(set + 1) * w]
-            .iter()
-            .any(|l| l.valid && l.idx == idx)
+        self.find(idx).is_some()
     }
 
     /// Response-PR path: deposits `idx`'s property if absent (the paper:
     /// "If a PR finds the property, no action is taken. Otherwise, the
-    /// PR's property is saved in the cache"). Evicts the set's LRU line
-    /// when full.
+    /// PR's property is saved in the cache"). The victim is the set's
+    /// first invalid way; in a full set it is the first way with the
+    /// oldest stamp (LRU, FIFO) or a hash of the tick and idx (random).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is `u32::MAX`, the invalid-line tag.
     pub fn insert(&mut self, idx: u32) {
+        assert!(
+            idx != INVALID,
+            "idx u32::MAX is the invalid-line tag and cannot be cached"
+        );
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(idx);
-        let policy = self.cfg.policy;
-        let mut victim = 0usize;
-        let mut victim_use = u64::MAX;
-        let mut invalid_way = None;
-        {
-            let lines = self.set_lines(set);
-            for (w, line) in lines.iter().enumerate() {
-                if line.valid && line.idx == idx {
-                    return; // already present: no action
-                }
-                if !line.valid && invalid_way.is_none() {
-                    invalid_way = Some(w);
-                }
-                // LRU tracks recency; FIFO tracks insertion age (hits do
-                // not refresh `last_use` under FIFO, so the same ranking
-                // applies).
-                let use_rank = if line.valid { line.last_use } else { 0 };
-                if use_rank < victim_use {
-                    victim_use = use_rank;
-                    victim = w;
-                }
+        let (base, end) = self.set_bounds(idx);
+        let tags = &self.tags[base..end];
+        if tags.contains(&idx) {
+            return; // already present: no action
+        }
+        let way = match tags.iter().position(|&t| t == INVALID) {
+            Some(way) => way,
+            None if self.cfg.policy == ReplacementPolicy::Random => {
+                // Cheap stateless hash of (tick, idx) picks the way.
+                let h = (tick ^ idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (h >> 33) as usize % self.cfg.ways as usize
             }
-        }
-        if let Some(w) = invalid_way {
-            victim = w;
-        } else if policy == ReplacementPolicy::Random {
-            // Cheap stateless hash of (tick, idx) picks the way.
-            let h = (tick ^ idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            victim = (h >> 33) as usize % self.cfg.ways as usize;
-        }
-        let w = self.cfg.ways as usize;
-        let slot = set * w + victim;
-        if self.lines[slot].valid {
+            // LRU stamps track recency, FIFO stamps insertion age (hits
+            // do not refresh them under FIFO), so one ranking serves both;
+            // `min_by_key` keeps the first of equal stamps.
+            None => self.stamps[base..end]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map_or(0, |(way, _)| way),
+        };
+        let line = base + way;
+        if self.tags[line] != INVALID {
             self.stats.evictions += 1;
             #[cfg(feature = "trace")]
             self.trace(TraceEvent::CacheEvict {
-                idx: self.lines[slot].idx,
+                idx: self.tags[line],
             });
         }
-        self.lines[slot] = Line {
-            idx,
-            last_use: tick,
-            valid: true,
-        };
+        self.tags[line] = idx;
+        self.stamps[line] = tick;
         self.stats.insertions += 1;
         #[cfg(feature = "trace")]
         self.trace(TraceEvent::CacheInsert { idx });
@@ -387,9 +387,7 @@ impl PropertyCache {
 
     /// Invalidates everything (control-plane reset before a kernel).
     pub fn clear(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.tags.fill(INVALID);
         self.stats = CacheStats::default();
         self.tick = 0;
     }
@@ -398,6 +396,213 @@ impl PropertyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsparse_desim::SplitMix64;
+
+    /// The array-of-structs layout the cache had before its tags and
+    /// stamps were split into two arrays, kept as a reference model: one
+    /// `Line` per way, validity as a flag, and one scan that finds a hit,
+    /// the first invalid way and the first least-stamped way together.
+    struct AosCache {
+        cfg: PropertyCacheConfig,
+        sets: usize,
+        lines: Vec<Line>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    #[derive(Clone, Copy)]
+    struct Line {
+        idx: u32,
+        last_use: u64,
+        valid: bool,
+    }
+
+    impl AosCache {
+        fn new(cfg: PropertyCacheConfig, property_bytes: u32) -> Self {
+            let segments = property_bytes
+                .div_ceil(cfg.segment_bytes)
+                .next_power_of_two();
+            let entries = (cfg.capacity_bytes / (segments * cfg.segment_bytes) as u64) as usize;
+            let sets = entries / cfg.ways as usize;
+            let invalid = Line {
+                idx: 0,
+                last_use: 0,
+                valid: false,
+            };
+            AosCache {
+                cfg,
+                sets,
+                lines: vec![invalid; sets * cfg.ways as usize],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_lines(&mut self, idx: u32) -> &mut [Line] {
+            let segs = self.cfg.n_segments;
+            let above = if segs.is_power_of_two() {
+                (idx >> segs.trailing_zeros()) as u64
+            } else {
+                (idx / segs) as u64
+            };
+            let scrambled = above.wrapping_mul(0x9E37_79B9);
+            let set = if self.sets.is_power_of_two() {
+                (scrambled as usize) & (self.sets - 1)
+            } else {
+                (scrambled % self.sets as u64) as usize
+            };
+            let w = self.cfg.ways as usize;
+            &mut self.lines[set * w..(set + 1) * w]
+        }
+
+        fn lookup(&mut self, idx: u32) -> bool {
+            self.stats.lookups += 1;
+            self.tick += 1;
+            let (tick, refresh) = (self.tick, self.cfg.policy == ReplacementPolicy::Lru);
+            for line in self.set_lines(idx) {
+                if line.valid && line.idx == idx {
+                    if refresh {
+                        line.last_use = tick;
+                    }
+                    self.stats.hits += 1;
+                    return true;
+                }
+            }
+            self.stats.misses += 1;
+            false
+        }
+
+        fn contains(&mut self, idx: u32) -> bool {
+            self.set_lines(idx).iter().any(|l| l.valid && l.idx == idx)
+        }
+
+        fn insert(&mut self, idx: u32) {
+            self.tick += 1;
+            let (tick, policy, ways) = (self.tick, self.cfg.policy, self.cfg.ways as usize);
+            let (mut victim, mut victim_use, mut invalid_way) = (0, u64::MAX, None);
+            let lines = self.set_lines(idx);
+            for (w, line) in lines.iter().enumerate() {
+                if line.valid && line.idx == idx {
+                    return;
+                }
+                if !line.valid && invalid_way.is_none() {
+                    invalid_way = Some(w);
+                }
+                let use_rank = if line.valid { line.last_use } else { 0 };
+                if use_rank < victim_use {
+                    victim_use = use_rank;
+                    victim = w;
+                }
+            }
+            if let Some(w) = invalid_way {
+                victim = w;
+            } else if policy == ReplacementPolicy::Random {
+                let h = (tick ^ idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                victim = (h >> 33) as usize % ways;
+            }
+            let evicted = lines[victim].valid;
+            lines[victim] = Line {
+                idx,
+                last_use: tick,
+                valid: true,
+            };
+            self.stats.evictions += u64::from(evicted);
+            self.stats.insertions += 1;
+        }
+
+        fn clear(&mut self) {
+            self.lines.iter_mut().for_each(|l| l.valid = false);
+            self.stats = CacheStats::default();
+            self.tick = 0;
+        }
+    }
+
+    /// Random streams of probes, fills and membership checks, skewed
+    /// toward a hot eighth of the idxs, through both layouts under every
+    /// policy and four geometries: one set, 64 sets, 3 sets (the modulo
+    /// reduction) and 12 sets of 4 ways over 24 segments (the divide).
+    /// Every hit, every counter, eviction included, and every membership
+    /// answer must agree, across a mid-stream clear.
+    #[test]
+    fn split_layout_matches_the_array_of_structs_model_on_random_streams() {
+        let geometries = [
+            (16 * 512, 512, 16, 32),
+            (64 << 10, 64, 16, 32),
+            (3 * 16 * 512, 512, 16, 32),
+            (48 * 64, 64, 4, 24),
+        ];
+        let policies = [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ];
+        for (p, policy) in policies.into_iter().enumerate() {
+            for (g, (capacity_bytes, property_bytes, ways, n_segments)) in
+                geometries.into_iter().enumerate()
+            {
+                let cfg = PropertyCacheConfig {
+                    capacity_bytes,
+                    ways,
+                    n_segments,
+                    policy,
+                    ..PropertyCacheConfig::paper()
+                };
+                let mut cache = PropertyCache::new(cfg, property_bytes);
+                let mut model = AosCache::new(cfg, property_bytes);
+                let universe = 4 * cache.entries() as u64;
+                let mut rng = SplitMix64::new((p * 4 + g) as u64);
+                for step in 0..20_000 {
+                    let idx = if rng.chance(0.5) {
+                        rng.next_range(universe / 8)
+                    } else {
+                        rng.next_range(universe)
+                    } as u32;
+                    match rng.next_range(10) {
+                        0..=4 => assert_eq!(cache.lookup(idx), model.lookup(idx), "step {step}"),
+                        5..=8 => {
+                            cache.insert(idx);
+                            model.insert(idx);
+                        }
+                        _ => assert_eq!(cache.contains(idx), model.contains(idx), "step {step}"),
+                    }
+                    assert_eq!(
+                        cache.stats(),
+                        model.stats,
+                        "{policy:?} geometry {g} step {step}"
+                    );
+                    if step == 9_999 {
+                        cache.clear();
+                        model.clear();
+                    }
+                }
+                let s = model.stats;
+                assert!(
+                    s.hits > 0 && s.evictions > 0,
+                    "{policy:?} geometry {g}: {s:?}"
+                );
+                for idx in 0..universe as u32 {
+                    assert_eq!(cache.contains(idx), model.contains(idx), "idx {idx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_tag_misses_and_cannot_be_inserted() {
+        let mut c = small(64 << 10, 64);
+        assert!(!c.contains(u32::MAX));
+        assert!(!c.lookup(u32::MAX));
+        c.insert(u32::MAX - 1);
+        assert!(c.lookup(u32::MAX - 1) && !c.lookup(u32::MAX));
+        let s = c.stats();
+        assert_eq!((s.lookups, s.hits, s.misses), (3, 1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid-line tag")]
+    fn inserting_the_invalid_tag_panics() {
+        small(64 << 10, 64).insert(u32::MAX);
+    }
 
     fn small(capacity: u64, prop: u32) -> PropertyCache {
         let cfg = PropertyCacheConfig {

@@ -13,6 +13,12 @@
 //! merging and forward unchanged, so reduction degrades to plain
 //! forwarding under pressure and never loses a contribution.
 //!
+//! The cluster runs a Partial through the table of its source ToR and,
+//! when the root sits in another rack, through the table of the root's
+//! ToR as well, where PRs merged upstream fold again. A PR may so carry
+//! several contributions; the table folds it as one PR and adds its
+//! count, and [`ReduceStats`] counts PRs per table, not contributions.
+//!
 //! Like every other hardware model in this crate the table is a pure
 //! state machine: the rack component of the event loop (`netsparse::sim`)
 //! folds partials into it in its middle pipes and owns all scheduling.
@@ -39,14 +45,15 @@ struct ReduceEntry {
 /// Running counters of one table (folded into `SimReport`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReduceStats {
-    /// Contributions folded into an existing entry (each one is a PR that
-    /// did not travel further on its own).
+    /// Partial PRs folded into an existing entry (each one a PR that did
+    /// not travel further on its own), however many contributions each
+    /// carried.
     pub merged: u64,
-    /// Entries allocated (first contribution for a row).
+    /// Entries allocated (first Partial PR for a row).
     pub allocated: u64,
     /// Merged PRs emitted by window expiry or final drain.
     pub flushed: u64,
-    /// Contributions forwarded unmerged because the table was full (or a
+    /// Partial PRs passed on unmerged because the table was full (or a
     /// count would have overflowed the PR-layer field).
     pub bypassed: u64,
 }

@@ -14,7 +14,9 @@
 # the fault-recovery suite under the release auditor (see
 # docs/FAULTS.md), the structured-tracing suites with the `trace` feature
 # on (see docs/OBSERVABILITY.md), the repo benchmark's tests in its
-# per-layer (`trace`) build, smoke runs of the ext_fault_sweep and
+# per-layer (`trace`) build, one end-to-end and one per-layer uk_full
+# pass of the standalone benchmark package through its run.py, smoke
+# runs of the ext_fault_sweep and
 # ext_trace sections of the `repro` binary, byte-for-byte checks of the
 # table1, table4, table7, characterize and ext_virtual_cq sections
 # against the committed docs/sample_output/repro_all.txt, the
@@ -99,6 +101,12 @@ if [[ "$fast" -eq 0 ]]; then
     # The benchmark's per-layer pass replays RigClient, IdxFilter and the
     # other components; test it in the build that pass uses.
     run cargo test -q --release -p netsparse-bench --bin benchmark --features trace
+    # The benchmark as BENCHMARK.json runs it: run.py builds the
+    # standalone package (its own Cargo.toml and release profile, into
+    # .bench_build) and runs one end-to-end and one per-layer pass of
+    # uk_full; each exits non-zero if the build or the oracle fails.
+    run python3 crates/bench/src/bin/benchmark/run.py --workload uk_full --seconds 0 --trace 0
+    run python3 crates/bench/src/bin/benchmark/run.py --workload uk_full --seconds 0 --trace 1
     # Parallel sweeps must be byte-identical to serial at any worker
     # count, audit digests included (see docs/ARCHITECTURE.md).
     run cargo test -q -p netsparse-tests --features audit --release --test sweep_parallel
