@@ -282,7 +282,7 @@ impl Default for SaOptModel {
     }
 }
 
-/// A Two-Face-style hybrid software baseline (the paper's reference [11]):
+/// A Two-Face-style hybrid software baseline (the paper's reference \[11\]):
 /// *popular* columns — needed by many nodes — are broadcast SU-style
 /// (collectives are efficient when everyone wants the data anyway), while
 /// the long tail is fetched sparsity-aware through the Conveyors model.

@@ -1222,7 +1222,7 @@ pub fn ext_kernels(o: &BenchOpts) -> String {
 }
 
 /// Extension experiment: the Two-Face-style hybrid software baseline
-/// (paper reference [11]) vs SUOpt, SAOpt and NetSparse.
+/// (paper reference \[11\]) vs SUOpt, SAOpt and NetSparse.
 pub fn ext_hybrid(o: &BenchOpts) -> String {
     use netsparse::baselines::Baselines;
     use netsparse_accel::HybridOptModel;

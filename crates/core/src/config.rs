@@ -67,6 +67,20 @@ pub enum ConfigError {
         /// Which parameter.
         what: &'static str,
     },
+    /// A clock or line rate is zero, negative, or not finite.
+    NotPositive {
+        /// Which parameter.
+        what: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// The property is larger than one Property Cache row (`S_max`).
+    ExceedsCacheRow {
+        /// The property size in bytes (`4 * k`).
+        bytes: u32,
+        /// The cache's `S_max` in bytes.
+        max: u32,
+    },
     /// A buffer that must fit in one packet is larger than the MTU.
     ExceedsMtu {
         /// Which parameter.
@@ -108,6 +122,14 @@ impl fmt::Display for ConfigError {
             ConfigError::DegenerateCluster { what } => {
                 write!(f, "cluster config is degenerate: {what} must be nonzero")
             }
+            ConfigError::NotPositive { what, value } => {
+                write!(f, "{what} must be positive and finite, got {value}")
+            }
+            ConfigError::ExceedsCacheRow { bytes, max } => write!(
+                f,
+                "a {bytes} B property exceeds the Property Cache's {max} B rows; \
+                 tile the input array or turn the cache off"
+            ),
             ConfigError::ExceedsMtu { what, bytes, mtu } => {
                 write!(f, "{what} = {bytes} exceeds the {mtu} B MTU")
             }
@@ -714,7 +736,6 @@ impl ClusterConfig {
     pub fn mini(topology: Topology, k: u32) -> Self {
         let mut cfg = ClusterConfig::paper(topology, k);
         cfg.link = LinkParams::new(100.0, 45);
-        cfg.snic.line_rate_gbps = 100.0;
         cfg.snic.pcie_latency_ns = 20;
         cfg.switch.latency_ns = 30;
         cfg.switch.cache.capacity_bytes = 2 << 20;
@@ -768,16 +789,43 @@ impl ClusterConfig {
     /// fault schedule against the topology — so a bad config fails with a
     /// message before the simulator starts, not a panic inside it.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.k == 0 {
-            return Err(ConfigError::DegenerateCluster { what: "k" });
+        // The cache geometry and the reduce table matter only when their
+        // mechanism builds them.
+        let cache = self.mechanisms.property_cache;
+        let reduce = self.reduce.enabled && self.reduce.in_network;
+        let zero = [
+            ("k", self.k == 0),
+            ("batch_size", self.batch_size == 0),
+            ("snic.rig_units", self.snic.rig_units == 0),
+            ("snic.pending_entries", self.snic.pending_entries == 0),
+            ("switch.cache.ways", cache && self.switch.cache.ways == 0),
+            (
+                "switch.cache.segment_bytes",
+                cache && self.switch.cache.segment_bytes == 0,
+            ),
+            (
+                "reduce.table_entries",
+                reduce && self.reduce.table_entries == 0,
+            ),
+        ];
+        if let Some(&(what, _)) = zero.iter().find(|&&(_, is_zero)| is_zero) {
+            return Err(ConfigError::DegenerateCluster { what });
         }
-        if self.batch_size == 0 {
-            return Err(ConfigError::DegenerateCluster { what: "batch_size" });
+        for (what, value) in [
+            ("snic.clock_ghz", self.snic.clock_ghz),
+            ("snic.pcie_gbps", self.snic.pcie_gbps),
+            ("switch.clock_ghz", self.switch.clock_ghz),
+            ("link.bandwidth_bps", self.link.bandwidth_bps),
+        ] {
+            if !(value > 0.0 && value.is_finite()) {
+                return Err(ConfigError::NotPositive { what, value });
+            }
         }
-        if self.reduce.enabled && self.reduce.in_network && self.reduce.table_entries == 0 {
-            return Err(ConfigError::DegenerateCluster {
-                what: "reduce.table_entries",
-            });
+        if cache {
+            let (bytes, max) = (self.payload_bytes(), self.switch.cache.max_property_bytes());
+            if bytes > max {
+                return Err(ConfigError::ExceedsCacheRow { bytes, max });
+            }
         }
         if let ConcatImpl::Virtual(pool) = self.concat_impl {
             // `ConcatPoint::virtualized` asserts on these; reject them here
@@ -820,7 +868,7 @@ impl ClusterConfig {
         // Store-and-forward: each hop pays link latency + switch traversal
         // + serialization of a full MTU.
         let mtu_ns = self.link.serialization(self.snic.mtu as u64).as_ns_f64();
-        let hop_ns = self.link.latency.0 as f64 + self.switch.latency_ns as f64 + mtu_ns;
+        let hop_ns = self.link.latency.as_ns_f64() + self.switch.latency_ns as f64 + mtu_ns;
         let net_one_way = (switch_hops + 1) as f64 * hop_ns;
         let concat_budget =
             self.nic_concat_delay().as_ns_f64() + self.switch_concat_delay().as_ns_f64();

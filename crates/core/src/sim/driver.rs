@@ -5,11 +5,11 @@
 //! one [`RackState`] per switch), the transport [`Fabric`], and the
 //! [`Shared`] cross-cutting state (global latencies, the loss process,
 //! fault counters, the PR-latency reservoir, and — when compiled in — the
-//! model auditor and the structured tracer). Each delivered event is
-//! routed by [`Event::port`] to exactly one component's
-//! [`Component::handle`]; the component sees its own state as `&mut self`
-//! and everything else through [`Ctx`], so a handler *cannot* reach into
-//! another component's state — the port map is the complete coupling
+//! model auditor and the structured tracer). `World::dispatch` routes each
+//! delivered event with one exhaustive `match` straight to its owner's
+//! handler method; the owner sees its own state as `&mut self` and
+//! everything else through [`Ctx`], so a handler *cannot* reach into
+//! another component's state — that match is the complete coupling
 //! surface.
 //!
 //! Auditing and tracing are hooks, not forks: the same driver body runs
@@ -30,17 +30,10 @@ use netsparse_desim::trace::{
 use crate::config::ClusterConfig;
 use crate::metrics::{FaultReport, HotLink, NodeReport, ReduceReport, SimReport};
 use crate::sim::error::SimError;
-use crate::sim::events::{Event, FaultAction, Port};
+use crate::sim::events::{Event, FaultAction};
 use crate::sim::fabric::Fabric;
 use crate::sim::node::{build_nodes, NodeState};
 use crate::sim::rack::{build_racks, RackState};
-
-/// A component of the cluster model: handles exactly the events addressed
-/// to its port, touching only its own state and the shared context.
-pub(crate) trait Component {
-    /// Handles one event delivered at `now`.
-    fn handle(&mut self, now: SimTime, ev: Event, ctx: &mut Ctx<'_, '_, '_>);
-}
 
 /// Everything a component may touch besides its own state: the (immutable)
 /// configuration and workload, the transport fabric, the shared
@@ -211,7 +204,15 @@ impl<'a> World<'a> {
         self.shared.tracer = Some(tracer.clone());
     }
 
-    /// Routes one event to the component that owns its port.
+    /// Routes one event to the handler of the component that owns it. This
+    /// match is the routing table: it names every `Event` variant, so a new
+    /// variant is a compile error until it gets an owner. The `forbid`
+    /// keeps a `_ =>` arm from hiding new variants; clippy reports a
+    /// wildcard that covers exactly one variant under the second lint.
+    #[forbid(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn dispatch(&mut self, now: SimTime, ev: Event, sched: &mut Scheduler<'_, Event>) {
         // Advance the tracer's stamp clock once per delivered event; every
         // component record within this event carries this (monotone) time.
@@ -219,23 +220,37 @@ impl<'a> World<'a> {
         if let Some(tr) = &self.shared.tracer {
             tr.set_now(now);
         }
-        let mut ctx = Ctx {
+        let ctx = &mut Ctx {
             cfg: self.cfg,
             wl: self.wl,
             fabric: &mut self.fabric,
             shared: &mut self.shared,
             sched,
         };
-        match ev.port() {
-            Port::Node(n) => self.nodes[n as usize].handle(now, ev, &mut ctx),
-            Port::Rack(s) => self.racks[s as usize].handle(now, ev, &mut ctx),
-            Port::Fabric => {
-                let Event::FaultTransition { action } = ev else {
-                    // simaudit:allow(no-lib-panic): the port-wiring lint pass proves this arm unreachable
-                    unreachable!("only fault transitions address the fabric port");
-                };
-                ctx.fabric.apply_fault(ctx.shared, action);
+        match ev {
+            Event::HostIssue { node } => self.nodes[node as usize].host_issue(now, ctx),
+            Event::ClientProcess { node, unit } => {
+                self.nodes[node as usize].client_process(now, unit, ctx);
             }
+            Event::NicConcatExpire { node } => self.nodes[node as usize].concat_expire(now, ctx),
+            Event::PacketAtNic { node, pkt } => {
+                self.nodes[node as usize].packet_at_nic(now, pkt, ctx)
+            }
+            Event::Watchdog {
+                node,
+                unit,
+                generation,
+            } => self.nodes[node as usize].watchdog(now, unit, generation, ctx),
+            Event::PacketAtSwitch {
+                switch,
+                from_nic,
+                pkt,
+            } => self.racks[switch as usize].packet_at_switch(now, from_nic, pkt, ctx),
+            Event::SwitchConcatExpire { switch } => {
+                self.racks[switch as usize].concat_expire(now, ctx)
+            }
+            Event::ReduceExpire { switch } => self.racks[switch as usize].reduce_expire(now, ctx),
+            Event::FaultTransition { action } => ctx.fabric.apply_fault(ctx.shared, action),
         }
     }
 
@@ -539,7 +554,7 @@ pub fn try_simulate_traced(
 
 /// The single event-loop body behind [`simulate`] and `simulate_traced`:
 /// inject the fault schedule and the initial host stimuli, drain the
-/// queue through the port dispatcher under the `cfg.limits` liveness
+/// queue through `World::dispatch` under the `cfg.limits` liveness
 /// budgets ([`Engine::run`]), then assemble the report. A tripped budget
 /// comes back as [`SimError::Stalled`].
 fn drive(mut world: World<'_>) -> Result<SimReport, SimError> {

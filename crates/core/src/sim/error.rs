@@ -17,10 +17,10 @@ use crate::config::ConfigError;
 /// Why a simulation could not start, or could not finish.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// The configuration failed [`ClusterConfig::validate`]
-    /// (e.g. packet loss without a watchdog, degenerate k/batch,
-    /// fault targets out of range). See
-    /// [`ClusterConfig::validate`](crate::config::ClusterConfig::validate).
+    /// The configuration failed
+    /// [`ClusterConfig::validate`](crate::config::ClusterConfig::validate)
+    /// (e.g. packet loss without a watchdog, a zero clock or batch, fault
+    /// targets out of range).
     Config(ConfigError),
     /// The workload was generated for a different cluster size than the
     /// topology provides.

@@ -389,8 +389,7 @@ mod tests {
         let (uplink, tor) = f.from_nic[0];
         let params = *f.links[uplink.0 as usize].params();
         let ser = params.serialization(packet(5, 0).wire_bytes);
-        let latency: SimTime = params.latency.into();
-        let arrival = |i: u64| SimTime::from_ps(ser.as_ps() * (i + 1)) + latency;
+        let arrival = |i: u64| SimTime::from_ps(ser.as_ps() * (i + 1)) + params.latency;
 
         let mut queue = netsparse_desim::EventQueue::new();
         let mut sched = netsparse_desim::Scheduler::at(&mut queue, SimTime::ZERO);

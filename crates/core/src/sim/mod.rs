@@ -27,11 +27,11 @@
 //!
 //! # Architecture
 //!
-//! The simulation is layered as components behind ports (see
-//! `docs/ARCHITECTURE.md` for the full contract):
+//! The simulation is layered as components that each own a set of events
+//! (see `docs/ARCHITECTURE.md` for the full contract):
 //!
-//! - [`events`](self) — the typed event vocabulary and the event → port
-//!   routing map;
+//! - `events` — the typed event vocabulary; every event names the node,
+//!   switch or fabric that owns it;
 //! - `node` — the host + SNIC command lifecycle (issue, scan, serve,
 //!   respond, watchdog recovery), one component per rank;
 //! - `rack` — one component per switch: the middle pipes at ToRs
@@ -39,9 +39,11 @@
 //!   concatenation, in that fixed order), verbatim forwarding at spines;
 //! - `fabric` — the shared transport substrate: links, routing tables,
 //!   failover reconvergence;
-//! - `driver` — the component wiring and the single generic event loop
-//!   behind [`simulate`] (and `simulate_traced` under the `trace`
-//!   feature), with auditing and tracing injected as feature-gated hooks.
+//! - `driver` — the component wiring, the one exhaustive `match` that
+//!   routes each event to its owner's handler, and the single generic
+//!   event loop behind [`simulate`] (and `simulate_traced` under the
+//!   `trace` feature), with auditing and tracing injected as feature-gated
+//!   hooks.
 
 mod driver;
 mod error;
@@ -194,6 +196,49 @@ mod tests {
             dups(&r_adapt),
             dups(&r_fixed)
         );
+    }
+
+    /// Settings the run cannot survive (a zero or non-finite clock or
+    /// rate, no RIG units or pending entries, a degenerate cache geometry,
+    /// a property larger than a cache row) come back as typed config
+    /// errors before any event runs.
+    #[test]
+    fn degenerate_configs_are_typed_errors() {
+        type Poison = fn(&mut ClusterConfig);
+        let wl = tiny_workload();
+        let cases: [(&str, Poison); 12] = [
+            ("snic.clock_ghz = 0", |c| c.snic.clock_ghz = 0.0),
+            ("snic.clock_ghz = NaN", |c| c.snic.clock_ghz = f64::NAN),
+            ("switch.clock_ghz = 0", |c| c.switch.clock_ghz = 0.0),
+            ("snic.pcie_gbps = 0", |c| c.snic.pcie_gbps = 0.0),
+            ("snic.pcie_gbps < 0", |c| c.snic.pcie_gbps = -1.0),
+            ("link.bandwidth_bps = 0", |c| c.link.bandwidth_bps = 0.0),
+            ("link.bandwidth_bps = inf", |c| {
+                c.link.bandwidth_bps = f64::INFINITY;
+            }),
+            ("snic.pending_entries = 0", |c| c.snic.pending_entries = 0),
+            ("snic.rig_units = 0", |c| c.snic.rig_units = 0),
+            ("switch.cache.ways = 0", |c| c.switch.cache.ways = 0),
+            ("switch.cache.segment_bytes = 0", |c| {
+                c.switch.cache.segment_bytes = 0;
+            }),
+            ("k = 129", |c| c.k = 129),
+        ];
+        for (name, poison) in cases {
+            let mut c = cfg(16);
+            poison(&mut c);
+            assert!(
+                matches!(try_simulate(&c, &wl), Err(SimError::Config(_))),
+                "{name}"
+            );
+        }
+        // k = 128 fills one 512 B cache row exactly; without the cache
+        // neither the row size nor the cache geometry is checked.
+        assert!(try_simulate(&cfg(128), &wl).is_ok());
+        let mut c = cfg(256);
+        c.mechanisms.property_cache = false;
+        c.switch.cache.ways = 0;
+        assert!(try_simulate(&c, &wl).is_ok());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use netsparse_sparse::CommWorkload;
 use netsparse_desim::trace::{lane, TraceEvent, TrackId};
 
 use crate::config::{ClusterConfig, ConcatImpl};
-use crate::sim::driver::{Component, Ctx};
+use crate::sim::driver::Ctx;
 use crate::sim::events::Event;
 
 /// Instantiates a concatenation point for the configured implementation.
@@ -169,7 +169,8 @@ pub(crate) struct ClientUnit {
     pub(crate) cmd_retries: u32,
 }
 
-/// One host + SNIC pair: the component bound to `Port::Node(id)`.
+/// One host + SNIC pair: the component that owns every event naming node
+/// `id`.
 pub(crate) struct NodeState {
     /// This node's id (its rank and its NIC's element id).
     pub(crate) id: u32,
@@ -294,22 +295,6 @@ pub(crate) fn build_nodes(cfg: &ClusterConfig, wl: &CommWorkload) -> Vec<NodeSta
         .collect()
 }
 
-impl Component for NodeState {
-    fn handle(&mut self, now: SimTime, ev: Event, ctx: &mut Ctx<'_, '_, '_>) {
-        match ev {
-            Event::HostIssue { .. } => self.host_issue(now, ctx),
-            Event::ClientProcess { unit, .. } => self.client_process(now, unit, ctx),
-            Event::NicConcatExpire { .. } => self.concat_expire(now, ctx),
-            Event::PacketAtNic { pkt, .. } => self.packet_at_nic(now, pkt, ctx),
-            Event::Watchdog {
-                unit, generation, ..
-            } => self.watchdog(now, unit, generation, ctx),
-            // simaudit:allow(no-lib-panic): the port-wiring lint pass proves this arm unreachable
-            _ => unreachable!("event routed to the wrong port"),
-        }
-    }
-}
-
 impl NodeState {
     /// (Re-)schedules the earliest pending concatenator expiry.
     fn arm_concat(&mut self, sched: &mut Scheduler<'_, Event>) {
@@ -324,7 +309,7 @@ impl NodeState {
 
     /// Flushes expired NIC concatenation queues onto the uplink through
     /// the pooled output buffer.
-    fn concat_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
+    pub(crate) fn concat_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         self.concat_sched = None;
         let mut out = std::mem::take(&mut self.out_buf);
         self.concat.flush_expired_with(now, |p| out.push((now, p)));
@@ -333,7 +318,8 @@ impl NodeState {
         self.arm_concat(ctx.sched);
     }
 
-    fn host_issue(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
+    /// The host core issues the next RIG command to a free client unit.
+    pub(crate) fn host_issue(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         let cfg = ctx.cfg;
         let wl = ctx.wl;
         let batch = cfg.batch_size.max(1);
@@ -404,7 +390,8 @@ impl NodeState {
         }
     }
 
-    fn client_process(&mut self, now: SimTime, unit_id: u16, ctx: &mut Ctx<'_, '_, '_>) {
+    /// Client unit `unit_id` scans its next idx chunk.
+    pub(crate) fn client_process(&mut self, now: SimTime, unit_id: u16, ctx: &mut Ctx<'_, '_, '_>) {
         let cfg = ctx.cfg;
         let wl = ctx.wl;
         let chunk = cfg.snic.idx_chunk();
@@ -585,7 +572,13 @@ impl NodeState {
         }
     }
 
-    fn packet_at_nic(&mut self, now: SimTime, pkt: ConcatPacket, ctx: &mut Ctx<'_, '_, '_>) {
+    /// A packet arrives at this node's NIC.
+    pub(crate) fn packet_at_nic(
+        &mut self,
+        now: SimTime,
+        pkt: ConcatPacket,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
         match pkt.kind {
             PrKind::Read => self.serve_reads(now, pkt, ctx),
             PrKind::Response => self.accept_responses(now, pkt, ctx),
@@ -720,7 +713,13 @@ impl NodeState {
     /// switching); after twice that budget the command is abandoned
     /// outright so the run terminates instead of hanging on an unreachable
     /// destination.
-    fn watchdog(&mut self, now: SimTime, unit_id: u16, generation: u64, ctx: &mut Ctx<'_, '_, '_>) {
+    pub(crate) fn watchdog(
+        &mut self,
+        now: SimTime,
+        unit_id: u16,
+        generation: u64,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
         let base_ns = ctx.cfg.faults.watchdog_ns;
         let max_retries = ctx.cfg.faults.max_retries.max(1);
         let multiplier = ctx.cfg.faults.backoff_multiplier;
@@ -824,7 +823,6 @@ impl NodeState {
 mod tests {
     use super::*;
     use crate::sim::driver::{Ctx, Shared};
-    use crate::sim::events::Port;
     use crate::sim::fabric::Fabric;
     use netsparse_desim::{Engine, Liveness};
     use netsparse_netsim::Topology;
@@ -912,6 +910,26 @@ mod tests {
         }
     }
 
+    /// Delivers `ev` to the lone `node` under test as the driver's dispatch
+    /// would, failing on any event addressed to another component.
+    fn deliver(node: &mut NodeState, now: SimTime, ev: Event, ctx: &mut Ctx<'_, '_, '_>) {
+        let id = node.id;
+        match ev {
+            Event::HostIssue { node: n } if n == id => node.host_issue(now, ctx),
+            Event::ClientProcess { node: n, unit } if n == id => {
+                node.client_process(now, unit, ctx);
+            }
+            Event::NicConcatExpire { node: n } if n == id => node.concat_expire(now, ctx),
+            Event::PacketAtNic { node: n, pkt } if n == id => node.packet_at_nic(now, pkt, ctx),
+            Event::Watchdog {
+                node: n,
+                unit,
+                generation,
+            } if n == id => node.watchdog(now, unit, generation, ctx),
+            _ => panic!("event escaped node {id}"),
+        }
+    }
+
     /// The node component runs its full command lifecycle in isolation —
     /// no rack, no cluster driver. A stream referencing only the node's
     /// own columns completes entirely on-NIC: every event the node emits
@@ -934,7 +952,6 @@ mod tests {
         engine.schedule(SimTime::ZERO, Event::HostIssue { node: 0 });
         engine
             .run(Liveness::none(), |now, ev, sched| {
-                assert_eq!(ev.port(), Port::Node(0), "event escaped the node");
                 let mut ctx = Ctx {
                     cfg: &cfg,
                     wl: &wl,
@@ -942,7 +959,7 @@ mod tests {
                     shared: &mut shared,
                     sched,
                 };
-                node.handle(now, ev, &mut ctx);
+                deliver(node, now, ev, &mut ctx);
             })
             .unwrap();
 
@@ -981,22 +998,8 @@ mod tests {
             .run(Liveness::none(), |now, ev, sched| {
                 // Intercept the node's own uplink sends: the fabric would
                 // schedule PacketAtSwitch; deliver responses directly instead.
-                match ev.port() {
-                    Port::Node(n) => {
-                        assert_eq!(n, 0);
-                        let mut ctx = Ctx {
-                            cfg: &cfg,
-                            wl: &wl,
-                            fabric: &mut fabric,
-                            shared: &mut shared,
-                            sched,
-                        };
-                        node.handle(now, ev, &mut ctx);
-                    }
-                    Port::Rack(_) => {
-                        let Event::PacketAtSwitch { pkt, .. } = ev else {
-                            unreachable!();
-                        };
+                match ev {
+                    Event::PacketAtSwitch { pkt, .. } => {
                         outbound.extend(pkt.prs.iter().copied());
                         // Answer every read with an immediate response packet.
                         for pr in pkt.prs {
@@ -1010,7 +1013,16 @@ mod tests {
                             sched.schedule(now, Event::PacketAtNic { node: 0, pkt: resp });
                         }
                     }
-                    Port::Fabric => unreachable!("no fault schedule in this test"),
+                    ev => {
+                        let mut ctx = Ctx {
+                            cfg: &cfg,
+                            wl: &wl,
+                            fabric: &mut fabric,
+                            shared: &mut shared,
+                            sched,
+                        };
+                        deliver(node, now, ev, &mut ctx);
+                    }
                 }
             })
             .unwrap();

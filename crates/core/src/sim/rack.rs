@@ -22,11 +22,12 @@ use netsparse_desim::trace::{lane, DropReason, TraceEvent, TrackId};
 use netsparse_netsim::SwitchId;
 
 use crate::config::ClusterConfig;
-use crate::sim::driver::{Component, Ctx};
+use crate::sim::driver::Ctx;
 use crate::sim::events::Event;
 use crate::sim::node::concat_point;
 
-/// One switch of the cluster: the component bound to `Port::Rack(id)`.
+/// One switch of the cluster: the component that owns every event naming
+/// switch `id`.
 pub(crate) struct RackState {
     /// This switch's id (netsim switch index).
     pub(crate) id: u32,
@@ -88,20 +89,6 @@ pub(crate) fn build_racks(cfg: &ClusterConfig, n_switches: u32) -> Vec<RackState
         .collect()
 }
 
-impl Component for RackState {
-    fn handle(&mut self, now: SimTime, ev: Event, ctx: &mut Ctx<'_, '_, '_>) {
-        match ev {
-            Event::PacketAtSwitch { from_nic, pkt, .. } => {
-                self.packet_at_switch(now, from_nic, pkt, ctx);
-            }
-            Event::SwitchConcatExpire { .. } => self.concat_expire(now, ctx),
-            Event::ReduceExpire { .. } => self.reduce_expire(now, ctx),
-            // simaudit:allow(no-lib-panic): the port-wiring lint pass proves this arm unreachable
-            _ => unreachable!("event routed to the wrong port"),
-        }
-    }
-}
-
 impl RackState {
     /// (Re-)schedules the earliest pending concatenator expiry.
     fn arm_concat(&mut self, sched: &mut Scheduler<'_, Event>) {
@@ -136,7 +123,7 @@ impl RackState {
 
     /// Flushes expired concatenation queues onto the forwarding path
     /// through the pooled output buffer.
-    fn concat_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
+    pub(crate) fn concat_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         self.concat_sched = None;
         let mut out = std::mem::take(&mut self.out_buf);
         self.concat.flush_expired_with(now, |p| out.push((now, p)));
@@ -146,7 +133,7 @@ impl RackState {
     /// Flushes reduce-table entries whose aggregation window closed: each
     /// merged Partial PR goes straight into the concatenation point (below
     /// the table, so it is never re-absorbed) toward its root.
-    fn reduce_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
+    pub(crate) fn reduce_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         self.reduce_sched = None;
         let payload = ctx.shared.payload;
         let mut out = std::mem::take(&mut self.out_buf);
@@ -162,7 +149,9 @@ impl RackState {
         self.arm_reduce(ctx.sched);
     }
 
-    fn packet_at_switch(
+    /// A packet arrives at this switch, `from_nic` if it entered from a
+    /// directly attached NIC.
+    pub(crate) fn packet_at_switch(
         &mut self,
         now: SimTime,
         from_nic: bool,

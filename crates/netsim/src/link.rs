@@ -11,17 +11,7 @@ pub struct LinkParams {
     /// Line rate in bits per second (paper: 400 Gbps per link).
     pub bandwidth_bps: f64,
     /// One-way propagation latency (paper: 450 ns per network link).
-    pub latency: SimTimeNs,
-}
-
-/// Serializable nanosecond wrapper for [`SimTime`] inside configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimTimeNs(pub u64);
-
-impl From<SimTimeNs> for SimTime {
-    fn from(v: SimTimeNs) -> SimTime {
-        SimTime::from_ns(v.0)
-    }
+    pub latency: SimTime,
 }
 
 impl LinkParams {
@@ -33,7 +23,7 @@ impl LinkParams {
         );
         LinkParams {
             bandwidth_bps: bandwidth_gbps * 1e9,
-            latency: SimTimeNs(latency_ns),
+            latency: SimTime::from_ns(latency_ns),
         }
     }
 
@@ -130,7 +120,7 @@ impl Link {
                 },
             );
         }
-        self.busy_until + self.params.latency.into()
+        self.busy_until + self.params.latency
     }
 
     /// When the wire next becomes free.

@@ -4,8 +4,8 @@
 ///
 /// Defaults follow Table 5: an AMD Pensando-like part at 2.2 GHz with
 /// 32 RIG units (half configured as clients, half as servers), 256-entry
-/// Pending PR Tables, 4 KB idx/property buffers, and a 400 Gbps network
-/// interface with 1500 B MTU.
+/// Pending PR Tables, 4 KB Idx Buffers and a 1500 B MTU. The network
+/// line rate is the cluster's link parameter, not the SNIC's.
 ///
 /// # Example
 ///
@@ -25,14 +25,6 @@ pub struct SnicConfig {
     pub pending_entries: usize,
     /// Idx Buffer bytes per unit (bounds the DMA chunk of a batch).
     pub idx_buffer_bytes: u32,
-    /// Rx Property Buffer bytes per unit.
-    pub prop_buffer_bytes: u32,
-    /// Load-store-queue entries per unit (Idx Filter accesses in flight).
-    pub lsq_entries: u32,
-    /// SNIC DRAM bandwidth in GB/s (Idx Filter traffic).
-    pub dram_gbps: f64,
-    /// Network interface rate in Gbps.
-    pub line_rate_gbps: f64,
     /// Maximum transmission unit in bytes.
     pub mtu: u32,
     /// Concatenator delay budget in SNIC cycles (paper: 500).
@@ -51,10 +43,6 @@ impl SnicConfig {
             rig_units: 32,
             pending_entries: 256,
             idx_buffer_bytes: 4 * 1024,
-            prop_buffer_bytes: 4 * 1024,
-            lsq_entries: 64,
-            dram_gbps: 64.0,
-            line_rate_gbps: 400.0,
             mtu: 1_500,
             concat_delay_cycles: 500,
             pcie_latency_ns: 200,

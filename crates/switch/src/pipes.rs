@@ -18,8 +18,6 @@ use crate::cache::{CacheStats, PropertyCache, PropertyCacheConfig};
 /// Switch parameters (Table 5, "Switches" rows).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchConfig {
-    /// Ports (32 × 400 Gbps in the paper).
-    pub ports: u32,
     /// Pipes (8 in the paper); middle pipes mirror this count.
     pub pipes: u32,
     /// Pipe clock in GHz (2 GHz in the paper).
@@ -28,8 +26,6 @@ pub struct SwitchConfig {
     pub latency_ns: u64,
     /// Concatenator delay budget in switch cycles (125).
     pub concat_delay_cycles: u64,
-    /// Packet buffer size in bytes (96 MB; tracked as a statistic).
-    pub packet_buffer_bytes: u64,
     /// Property Cache geometry, total per switch (split across pipes).
     pub cache: PropertyCacheConfig,
 }
@@ -38,12 +34,10 @@ impl SwitchConfig {
     /// Table 5's ToR switch.
     pub fn paper() -> Self {
         SwitchConfig {
-            ports: 32,
             pipes: 8,
             clock_ghz: 2.0,
             latency_ns: 300,
             concat_delay_cycles: 125,
-            packet_buffer_bytes: 96 << 20,
             cache: PropertyCacheConfig::paper(),
         }
     }

@@ -9,7 +9,8 @@
 # the lint_report.json artifact (kept either way, gate fails on any
 # violation) and once as text for readable console diagnostics — the
 # simcheck engine's own unit/fixture suite (`cargo test -p xtask`),
-# clippy with the workspace deny-set, the debug test suite (runtime
+# clippy with the workspace deny-set, the docs build with rustdoc
+# warnings denied, the debug test suite (runtime
 # auditor active via debug_assertions), the tier-1 release build + tests,
 # the fault-recovery suite under the release auditor (see
 # docs/FAULTS.md), the structured-tracing suites with the `trace` feature
@@ -70,6 +71,14 @@ cargo xtask lint --format json > lint_report.json || {
 run cargo xtask lint --quiet
 run cargo test -q -p xtask
 run cargo clippy --workspace --all-targets -- -D warnings
+# Docs: every rustdoc warning is an error, so an unresolved or redundant
+# intra-doc link (say, to a deleted item) fails here. Every target but the
+# benchmark binary is documented: its module docs link `e2e` and `traced`,
+# which exist only without and only with the `trace` feature, so no one
+# build resolves both (see ROADMAP.md).
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude netsparse-bench
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p netsparse-bench --lib \
+    --bin repro --bin chaos --bin bench_engine --bin bench_sweep
 run cargo test -q
 
 if [[ "$fast" -eq 0 ]]; then

@@ -1,10 +1,8 @@
 //! simcheck — the workspace's static-analysis engine (`cargo xtask lint`).
 //!
 //! Successor to the line-regex `simaudit` linter: a hand-rolled lexer
-//! ([`lexer`](crate::lexer)) feeds token-level rules
-//! ([`rules`](crate::rules)) plus two cross-file passes — Event/Port
-//! wiring exhaustiveness ([`wiring`](crate::wiring)) and `audit`/`trace`
-//! feature-gate symmetry ([`features`](crate::features)) — with
+//! ([`lexer`](crate::lexer)) feeds token-level rules ([`rules`]) plus the
+//! cross-file `audit`/`trace` feature-gate pass ([`features`]) — with
 //! `simaudit:allow(<rule>)` marker hygiene enforced on top (a marker that
 //! suppresses nothing, or carries no written justification, is itself an
 //! error). See `docs/STATIC_ANALYSIS.md` for the rule catalogue and the
@@ -19,7 +17,6 @@ use crate::features;
 use crate::lexer::LexedFile;
 use crate::report::{self, Diagnostic, RULES, SUPPRESSIBLE};
 use crate::rules;
-use crate::wiring;
 
 /// Output format selected with `--format`.
 #[derive(PartialEq, Clone, Copy)]
@@ -92,28 +89,6 @@ pub fn run(args: &[String]) -> ExitCode {
         diags.extend(check_lexed(rel, lf));
     }
 
-    // Cross-file: Event/Port wiring.
-    match (
-        lexed.get(wiring::EVENTS_FILE),
-        lexed.get(wiring::DRIVER_FILE),
-    ) {
-        (Some(events), Some(driver)) => {
-            let handlers: Vec<(&str, &LexedFile)> = wiring::HANDLER_FILES
-                .iter()
-                .filter_map(|h| lexed.get(*h).map(|lf| (*h, lf)))
-                .collect();
-            diags.extend(wiring::check(events, driver, &handlers));
-        }
-        _ => diags.push(Diagnostic {
-            file: wiring::EVENTS_FILE.to_string(),
-            line: 1,
-            rule: "port-wiring",
-            message: "events.rs / driver.rs not found — the wiring pass \
-                      tracks the component routing table in these files"
-                .to_string(),
-        }),
-    }
-
     // Cross-file: the workspace feature graph.
     diags.extend(features::check_feature_graph(&root));
 
@@ -128,8 +103,8 @@ pub fn run(args: &[String]) -> ExitCode {
             if diags.is_empty() {
                 if !quiet {
                     println!(
-                        "simcheck: {scanned} files clean ({} rules, wiring + \
-                         feature graph verified)",
+                        "simcheck: {scanned} files clean ({} rules, feature \
+                         graph verified)",
                         RULES.len()
                     );
                 }
@@ -247,7 +222,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wiring;
 
     fn rules_at(diags: &[Diagnostic]) -> Vec<(&'static str, usize)> {
         diags.iter().map(|d| (d.rule, d.line)).collect()
@@ -527,123 +501,5 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:#?}");
         assert_eq!(diags[0].rule, "feature-symmetry");
         assert!(diags[0].message.contains("record_flush"), "{}", diags[0]);
-    }
-
-    // ---------------- port wiring ----------------
-
-    fn wiring_fixture() -> (String, String, String) {
-        (
-            include_str!("../fixtures/wiring/events.rs").to_string(),
-            include_str!("../fixtures/wiring/driver.rs").to_string(),
-            include_str!("../fixtures/wiring/node.rs").to_string(),
-        )
-    }
-
-    fn run_wiring(events: &str, driver: &str, node: &str) -> Vec<Diagnostic> {
-        let ev = LexedFile::lex(events);
-        let dr = LexedFile::lex(driver);
-        let no = LexedFile::lex(node);
-        let handlers: Vec<(&str, &LexedFile)> = vec![("driver.rs", &dr), ("node.rs", &no)];
-        wiring::check(&ev, &dr, &handlers)
-    }
-
-    #[test]
-    fn wiring_fixture_is_clean() {
-        let (e, d, n) = wiring_fixture();
-        let diags = run_wiring(&e, &d, &n);
-        assert!(diags.is_empty(), "{diags:#?}");
-    }
-
-    #[test]
-    fn deleting_a_port_arm_fails_wiring() {
-        let (e, d, n) = wiring_fixture();
-        let e: String = e
-            .lines()
-            .filter(|l| !l.contains("Event::PacketAtSwitch { switch }"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let diags = run_wiring(&e, &d, &n);
-        assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(diags[0].message.contains("PacketAtSwitch"), "{}", diags[0]);
-    }
-
-    #[test]
-    fn wildcard_port_arm_fails_wiring() {
-        let (e, d, n) = wiring_fixture();
-        let e = e.replace(
-            "Event::PacketAtSwitch { switch } => Port::Rack(switch),",
-            "_ => Port::Rack(0),",
-        );
-        let diags = run_wiring(&e, &d, &n);
-        assert!(
-            diags.iter().any(|d| d.message.contains("wildcard")),
-            "{diags:#?}"
-        );
-    }
-
-    #[test]
-    fn deleting_a_dispatch_arm_fails_wiring() {
-        let (e, d, n) = wiring_fixture();
-        let d: String = d
-            .lines()
-            .filter(|l| !l.contains("Port::Rack"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let diags = run_wiring(&e, &d, &n);
-        assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(diags[0].message.contains("Port::Rack"), "{}", diags[0]);
-    }
-
-    #[test]
-    fn or_pattern_port_arms_route_every_variant() {
-        // The production events.rs routes the rack timer variants
-        // (SwitchConcatExpire, ReduceExpire) through one or-pattern arm
-        // with PacketAtSwitch; the pass must credit every variant in
-        // such an arm, not just the first.
-        let (e, d, n) = wiring_fixture();
-        let e = e.replace(
-            "Event::PacketAtSwitch { switch } => Port::Rack(switch),\n            \
-             Event::ReduceExpire { switch } => Port::Rack(switch),",
-            "Event::PacketAtSwitch { switch } | Event::ReduceExpire { switch } => \
-             Port::Rack(switch),",
-        );
-        assert!(
-            e.contains("| Event::ReduceExpire"),
-            "replacement must apply"
-        );
-        let diags = run_wiring(&e, &d, &n);
-        assert!(diags.is_empty(), "{diags:#?}");
-    }
-
-    #[test]
-    fn unreferenced_timer_variant_fails_wiring() {
-        // A routed-but-never-handled timer variant (the shape a dropped
-        // ReduceExpire handler would take) must be flagged.
-        let (e, d, n) = wiring_fixture();
-        let n: String = n
-            .lines()
-            .filter(|l| !l.contains("Event::ReduceExpire"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let diags = run_wiring(&e, &d, &n);
-        assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(diags[0].message.contains("ReduceExpire"), "{}", diags[0]);
-    }
-
-    #[test]
-    fn unhandled_event_variant_fails_wiring() {
-        let (e, d, n) = wiring_fixture();
-        let n: String = n
-            .lines()
-            .filter(|l| !l.contains("Event::HostIssue"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let diags = run_wiring(&e, &d, &n);
-        assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(
-            diags[0].message.contains("never referenced"),
-            "{}",
-            diags[0]
-        );
     }
 }

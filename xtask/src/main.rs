@@ -5,7 +5,6 @@ mod lexer;
 mod lint;
 mod report;
 mod rules;
-mod wiring;
 
 use std::process::ExitCode;
 
@@ -32,7 +31,7 @@ fn usage() {
     eprintln!("commands:");
     eprintln!("  lint [--quiet] [--format json|text]");
     eprintln!("          run the simcheck passes over crates/**/*.rs: the token-level");
-    eprintln!("          rules, Event/Port wiring exhaustiveness, audit/trace feature");
-    eprintln!("          forwarding and cfg symmetry, and allow-marker hygiene");
-    eprintln!("          (see docs/STATIC_ANALYSIS.md for the rule catalogue)");
+    eprintln!("          rules, audit/trace feature forwarding and cfg symmetry, and");
+    eprintln!("          allow-marker hygiene (see docs/STATIC_ANALYSIS.md for the");
+    eprintln!("          rule catalogue)");
 }

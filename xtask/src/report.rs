@@ -19,7 +19,6 @@ pub const RULES: &[&str] = &[
     "no-hot-alloc",
     "no-debug-print",
     "no-lib-panic",
-    "port-wiring",
     "feature-symmetry",
     "feature-forwarding",
     "allow-hygiene",

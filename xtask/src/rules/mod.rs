@@ -1,10 +1,9 @@
 //! The per-file, token-level lint rules.
 //!
-//! Every rule walks the [`LexedFile`](crate::lexer::LexedFile) token
-//! stream — comments and literal contents are already gone, `#[cfg]`
-//! scopes are annotated — so a rule is a short pattern over tokens plus a
-//! path-scope predicate. Cross-file passes live in
-//! [`wiring`](crate::wiring) and [`features`](crate::features).
+//! Every rule walks the [`LexedFile`] token stream — comments and literal
+//! contents are already gone, `#[cfg]` scopes are annotated — so a rule is
+//! a short pattern over tokens plus a path-scope predicate. The cross-file
+//! pass lives in [`features`](crate::features).
 
 pub mod alloc;
 pub mod debug_print;
