@@ -18,6 +18,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_types)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod compute;
 pub mod sw_model;

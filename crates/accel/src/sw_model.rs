@@ -443,6 +443,10 @@ impl Default for VanillaSaModel {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the hash-set reference models are compared by count, never iterated in order"
+)]
 mod tests {
     use super::*;
     use netsparse_desim::SplitMix64;

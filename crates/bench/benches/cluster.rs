@@ -2,6 +2,10 @@
 //! simulator itself runs on each benchmark matrix, and how the mechanism
 //! set changes simulation cost (the ablation harness's own overhead).
 
+// Tool-root rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use netsparse_bench::microbench::{black_box, BenchmarkId, Criterion};
 use netsparse_bench::{criterion_group, criterion_main};
 

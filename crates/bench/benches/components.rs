@@ -3,6 +3,10 @@
 //! Pending PR Table, Concatenator, Property Cache) plus workload
 //! generation and the reference kernels.
 
+// Tool-root rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use netsparse_bench::microbench::{black_box, BenchmarkId, Criterion, Throughput};
 use netsparse_bench::{criterion_group, criterion_main};
 

@@ -19,8 +19,14 @@
 //! gate. In this mode results go to `BENCH_engine.ci.json` (kept as an
 //! artifact) so the committed baseline is never clobbered by a gate run.
 //! Bad arguments print the usage line and exit 2.
+
+// Tool-root rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use std::process::ExitCode;
-use std::time::Instant; // simaudit:allow(no-wall-clock): wall-clock benchmark
+#[expect(clippy::disallowed_types, reason = "wall-clock benchmark")]
+use std::time::Instant;
 
 use netsparse::{simulate, ClusterConfig};
 use netsparse_netsim::Topology;
@@ -66,7 +72,8 @@ fn window_eps(
     let mut events_per_run = 0u64;
     for _ in 0..trials {
         let mut total = 0u64;
-        let t = Instant::now(); // simaudit:allow(no-wall-clock): wall-clock benchmark
+        #[expect(clippy::disallowed_types, reason = "wall-clock benchmark")]
+        let t = Instant::now();
         while t.elapsed().as_secs_f64() < window_s {
             events_per_run = simulate(cfg, wl).events;
             total += events_per_run;

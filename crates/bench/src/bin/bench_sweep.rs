@@ -10,7 +10,13 @@
 //! of asserting a ratio. On a one-core runner there is no parallel pass
 //! to time at all: the run is labeled `sweep_serial_only` rather than
 //! passing off a serial re-run as a 1.0x "parallel" result.
-use std::time::Instant; // simaudit:allow(no-wall-clock): wall-clock benchmark
+
+// Tool-root rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
+#[expect(clippy::disallowed_types, reason = "wall-clock benchmark")]
+use std::time::Instant;
 
 use netsparse_bench::opts::{available_workers, OptsError, OPTIONS_USAGE};
 use netsparse_bench::{tables, BenchOpts};
@@ -26,7 +32,11 @@ fn render_all(o: &BenchOpts) -> String {
 }
 
 fn timed(o: &BenchOpts) -> (String, f64) {
-    let t = Instant::now(); // simaudit:allow(no-wall-clock): reports real sweep duration to the operator
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reports the real sweep duration to the operator"
+    )]
+    let t = Instant::now();
     let body = render_all(o);
     (body, t.elapsed().as_secs_f64())
 }

@@ -14,6 +14,10 @@
 //! and writes a `chaos_repro.json` that `--replay` turns back into the
 //! same violation.
 
+// Tool-root rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use netsparse_bench::chaos::{
     parse_repro, replay_repro, run_batch, shrink, write_repro, ChaosScenario, ScenarioOutcome,
 };

@@ -11,8 +11,14 @@
 //! section fans its independent sweep points across threads; stdout is
 //! byte-identical to a serial run. Bad arguments print the usage and the
 //! keys to stderr and exit 2.
+
+// Tool-root rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use std::process::exit;
-use std::time::Instant; // simaudit:allow(no-wall-clock): CLI progress timing
+#[expect(clippy::disallowed_types, reason = "CLI progress timing")]
+use std::time::Instant;
 
 use netsparse_bench::opts::{OptsError, OPTIONS_USAGE};
 use netsparse_bench::sections::{self, ALL};
@@ -51,9 +57,17 @@ fn main() {
     if o.workers > 1 {
         eprintln!("[sweeping across {} worker threads]", o.workers);
     }
-    let t0 = Instant::now(); // simaudit:allow(no-wall-clock): reports real total reproduction time to the operator
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reports the real total reproduction time to the operator"
+    )]
+    let t0 = Instant::now();
     for s in selected {
-        let t = Instant::now(); // simaudit:allow(no-wall-clock): reports real per-section timing to the operator
+        #[expect(
+            clippy::disallowed_types,
+            reason = "reports each section's real time to the operator"
+        )]
+        let t = Instant::now();
         let body = (s.run)(&o);
         println!("==================== {} ====================", s.title);
         println!("{body}");

@@ -14,6 +14,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library rules (docs/STATIC_ANALYSIS.md); this package's manifest leaves
+// the `allow_attributes` pair to its roots.
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod chaos;
 pub mod microbench;

@@ -5,8 +5,8 @@
 //! benches in `benches/` use (`Criterion`, groups, `Throughput`,
 //! `BenchmarkId`, `black_box`, and the `criterion_group!`/`criterion_main!`
 //! macros). Timing uses wall-clock deliberately — benches measure the *host*,
-//! not simulated time, and live outside the simulation crates policed by the
-//! `no-wall-clock` lint.
+//! not simulated time — so this one module of the library expects
+//! `clippy::disallowed_types`.
 //!
 //! Each benchmark runs a calibration pass to pick an iteration count that
 //! fills a modest measurement window, then reports mean ns/iter and
@@ -14,7 +14,12 @@
 //! exists so `cargo bench` keeps working offline, not to replace criterion's
 //! analysis.
 
-use std::time::{Duration, Instant}; // simaudit:allow(no-wall-clock): host-side bench harness measures real execution time
+#![expect(
+    clippy::disallowed_types,
+    reason = "the harness times host execution; wall time is the quantity it measures"
+)]
+
+use std::time::{Duration, Instant};
 
 /// Re-export-compatible opaque-value barrier.
 #[inline]
@@ -68,7 +73,7 @@ pub struct Bencher {
 impl Bencher {
     /// Times `f` over the calibrated number of iterations.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        let start = Instant::now(); // simaudit:allow(no-wall-clock): wall time is the quantity being benchmarked
+        let start = Instant::now();
         for _ in 0..self.iters {
             black_box(f());
         }
@@ -93,9 +98,12 @@ impl Default for Criterion {
 
 impl Criterion {
     /// Starts a named group of related benchmarks.
+    #[expect(
+        clippy::print_stdout,
+        reason = "the console reporter prints group headers"
+    )]
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
-        // simaudit:allow(no-debug-print): console bench reporter prints group headers
         println!("\n== {name} ==");
         BenchmarkGroup {
             criterion: self,
@@ -153,6 +161,10 @@ impl BenchmarkGroup<'_> {
     /// Ends the group (provided for criterion compatibility).
     pub fn finish(&mut self) {}
 
+    #[expect(
+        clippy::print_stdout,
+        reason = "the console reporter prints one row per benchmark"
+    )]
     fn run(&mut self, label: &str, f: &mut dyn FnMut(&mut Bencher)) {
         // Calibrate: find an iteration count filling ~1/4 of the window.
         let mut iters = 1u64;
@@ -189,7 +201,6 @@ impl BenchmarkGroup<'_> {
                 format!(" ({:.1} MiB/s)", n as f64 / ns_per_iter * 1e3 / 1.048_576)
             }
         });
-        // simaudit:allow(no-debug-print): console bench reporter prints per-benchmark rows
         println!(
             "  {label:<40} {ns_per_iter:>12.1} ns/iter{}",
             rate.unwrap_or_default()

@@ -858,6 +858,10 @@ impl ClusterConfig {
     /// and the resulting restart storm is indistinguishable from loss in
     /// the aggregate stats — [`crate::metrics::FaultReport`] carries a
     /// warning when `faults.watchdog_ns` is under this bound.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "every term is a non-negative latency, so the ceiling of their sum is too"
+    )]
     pub fn estimated_worst_rtt_ns(&self) -> u64 {
         // Network diameter in switch hops (edge..edge), per topology.
         let switch_hops: u64 = match self.topology {

@@ -39,6 +39,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_types)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![deny(clippy::cast_sign_loss)]
 
 pub mod baselines;
 pub mod config;

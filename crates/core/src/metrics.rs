@@ -281,7 +281,6 @@ impl SimReport {
         let end = self.comm_time;
         (0..samples)
             .map(|i| {
-                // simaudit:allow(no-raw-time-math): exact u128 integer interpolation, no float rounding
                 let t = SimTime::from_ps(
                     ((end.as_ps() as u128 * i as u128) / samples.max(1) as u128) as u64,
                 );

@@ -313,6 +313,11 @@ impl<'a> World<'a> {
         }
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "assembles the report once per run, after the last event"
+    )]
     fn into_report(mut self, events: u64, audit_digest: Option<u64>) -> SimReport {
         let k = self.cfg.k;
         self.shared.loss.finish();
@@ -389,6 +394,10 @@ impl<'a> World<'a> {
             .collect();
         // Worst output-queue backlog across all links, expressed in bytes
         // at the line rate: the switch packet-buffer occupancy audit.
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "a backlog time at a positive line rate is a non-negative byte count"
+        )]
         let max_backlog = self
             .fabric
             .links
@@ -508,8 +517,11 @@ impl<'a> World<'a> {
 /// # Example
 ///
 /// See the crate-level example.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper over `try_simulate` for experiments"
+)]
 pub fn simulate(cfg: &ClusterConfig, wl: &CommWorkload) -> SimReport {
-    // simaudit:allow(no-lib-panic): documented panicking wrapper over try_simulate for experiments
     try_simulate(cfg, wl).unwrap_or_else(|e| panic!("simulate: {e}"))
 }
 
@@ -533,8 +545,11 @@ pub fn try_simulate(cfg: &ClusterConfig, wl: &CommWorkload) -> Result<SimReport,
 ///
 /// Same conditions as [`simulate`].
 #[cfg(feature = "trace")]
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper over `try_simulate_traced`"
+)]
 pub fn simulate_traced(cfg: &ClusterConfig, wl: &CommWorkload, tcfg: TraceConfig) -> SimReport {
-    // simaudit:allow(no-lib-panic): documented panicking wrapper over try_simulate_traced
     try_simulate_traced(cfg, wl, tcfg).unwrap_or_else(|e| panic!("simulate: {e}"))
 }
 

@@ -45,6 +45,11 @@ impl Fabric {
     /// (failure-free) routing tables from the precomputed paths. An
     /// unroutable or degenerate topology comes back as a typed
     /// [`SimError::Route`] so generated configurations can be rejected.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "builds the links and routing tables once, before the first event"
+    )]
     pub(crate) fn try_new(cfg: &ClusterConfig) -> Result<Self, SimError> {
         let net = Network::try_new(cfg.topology)?;
         let n_nodes = net.nodes();
@@ -68,8 +73,12 @@ impl Fabric {
                 for hop in &path.hops {
                     match prev {
                         Element::Nic(n) if n == src => {
-                            let Element::Switch(sw) = hop.to else {
-                                // simaudit:allow(no-lib-panic): netsim paths start NIC->switch by construction
+                            #[expect(
+                                clippy::panic,
+                                reason = "netsim paths start NIC->switch by construction"
+                            )]
+                            let Element::Switch(sw) = hop.to
+                            else {
                                 panic!("first hop must reach a switch");
                             };
                             from_nic[src as usize] = (hop.link, sw.0);
@@ -89,7 +98,10 @@ impl Fabric {
                                 downlink[n as usize] = hop.link;
                             }
                         }
-                        // simaudit:allow(no-lib-panic): netsim paths terminate at the first foreign NIC
+                        #[expect(
+                            clippy::panic,
+                            reason = "netsim paths terminate at the first foreign NIC"
+                        )]
                         Element::Nic(_) => panic!("path passes through a foreign NIC"),
                     }
                     prev = hop.to;
@@ -255,6 +267,10 @@ impl Fabric {
     /// Packets already in flight on a stale path are blackholed at their
     /// next hop lookup — exactly what a real reconvergence does to
     /// in-flight traffic — and recovered by the watchdog.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "rebuilds the routing tables once per fault event, not per packet"
+    )]
     fn rebuild_routes(&mut self, shared: &mut Shared) {
         let n_nodes = self.net.nodes();
         let n_switches = self.net.switches();

@@ -45,6 +45,11 @@
 //!   `trace` feature), with auditing and tracing injected as feature-gated
 //!   hooks.
 
+// Event-path rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::redundant_clone)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_macros))]
+
 mod driver;
 mod error;
 mod events;

@@ -88,6 +88,10 @@ struct Window {
 }
 
 impl IssueLedger {
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "sizes the ledger once per node, at build time"
+    )]
     fn new(units: usize) -> Self {
         IssueLedger {
             units: vec![Window::default(); units],
@@ -219,6 +223,10 @@ pub(crate) struct NodeState {
 
 /// Builds every node component of the cluster from the configuration and
 /// the workload (one per workload rank).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "builds the nodes once, before the first event"
+)]
 pub(crate) fn build_nodes(cfg: &ClusterConfig, wl: &CommWorkload) -> Vec<NodeState> {
     let snic_clock = cfg.snic_clock();
     let cycle = snic_clock.period();
@@ -805,6 +813,11 @@ impl NodeState {
         // that all timed out on the same failure.
         let exponent = cmd_retries.saturating_sub(1).min(16) as i32;
         let jitter = 1.0 + jitter_frac * ctx.shared.jitter_rng.next_f64();
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "truncates the backoff to whole ns outside `SimTime`'s rounding \
+                      constructors; rounding it would move the fault-run digests"
+        )]
         let interval_ns = (base_ns as f64 * multiplier.powi(exponent) * jitter) as u64;
         let interval = SimTime::from_ns(interval_ns.max(base_ns));
         ctx.shared.faults.backoff_wait += interval.saturating_sub(SimTime::from_ns(base_ns));

@@ -53,6 +53,10 @@ pub(crate) struct RackState {
 
 /// Builds every switch component of the cluster (`n_switches` of them,
 /// ToRs first, matching netsim's switch numbering).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "builds the racks once, before the first event"
+)]
 pub(crate) fn build_racks(cfg: &ClusterConfig, n_switches: u32) -> Vec<RackState> {
     let switch_concat_cfg = ConcatConfig {
         headers: cfg.headers,

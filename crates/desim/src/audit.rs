@@ -221,11 +221,14 @@ impl Auditor {
     /// Panics on imbalance, or if the ledger was never touched (a wiring
     /// bug: the check would otherwise pass vacuously forever).
     pub fn check_balanced(&self, name: &str) {
+        #[expect(
+            clippy::panic,
+            reason = "a vacuously passing audit is a wiring bug; abort loudly"
+        )]
         let l = self
             .ledgers
             .iter()
             .find(|l| l.name == name)
-            // simaudit:allow(no-lib-panic): a vacuously-passing audit is a wiring bug; abort loudly
             .unwrap_or_else(|| panic!("audit: ledger `{name}` was never touched"));
         assert!(
             l.issued == l.resolved && l.abandoned == 0,
@@ -248,11 +251,14 @@ impl Auditor {
     ///
     /// Panics on imbalance, or if the ledger was never touched.
     pub fn check_conserved(&self, name: &str, outstanding: u64) {
+        #[expect(
+            clippy::panic,
+            reason = "a vacuously passing audit is a wiring bug; abort loudly"
+        )]
         let l = self
             .ledgers
             .iter()
             .find(|l| l.name == name)
-            // simaudit:allow(no-lib-panic): a vacuously-passing audit is a wiring bug; abort loudly
             .unwrap_or_else(|| panic!("audit: ledger `{name}` was never touched"));
         assert!(
             l.issued == l.resolved + l.abandoned + outstanding,

@@ -13,6 +13,11 @@
 //! and the runtime auditor — and hands each handler a [`Scheduler`] view
 //! through which new events are pushed.
 
+// Event-path rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::cast_sign_loss, clippy::redundant_clone)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_macros))]
+
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;

@@ -4,9 +4,11 @@
 //! Every random decision in the workspace, from workload generation in
 //! `netsparse-sparse` down to fault injection and sampled statistics, draws
 //! from this SplitMix64 so that simulations are bit-reproducible functions
-//! of their seeds across machines and Rust versions. Foreign RNGs (`rand`,
-//! `thread_rng`, hashing-based tie-breaks) are banned by `cargo xtask lint`
-//! rule `no-foreign-rng`; see `docs/STATIC_ANALYSIS.md`.
+//! of their seeds across machines and Rust versions. Foreign RNGs cannot
+//! enter: `tests/manifests.rs` admits only path packages, and clippy's
+//! `disallowed_types` rejects std's randomly seeded `RandomState` (and the
+//! hash containers whose order it scrambles) in every library crate; see
+//! `docs/STATIC_ANALYSIS.md`.
 
 /// SplitMix64: a fast, high-quality 64-bit PRNG with a single `u64` of
 /// state. It is the generator Java's `SplittableRandom` and many simulators

@@ -78,10 +78,13 @@ impl SimTime {
     /// Creates a timestamp from fractional picoseconds, rounding to the
     /// nearest whole picosecond.
     ///
-    /// This is the one sanctioned float→time conversion for model code:
-    /// `cargo xtask lint` (rule `no-raw-time-math`) bans ad-hoc
-    /// `... as u64` casts into `SimTime` outside this module so rounding
-    /// behaviour stays uniform across the stack.
+    /// This is the one sanctioned float→time conversion for model code,
+    /// so rounding behaviour stays uniform across the stack: clippy's
+    /// `cast_sign_loss`, denied in `netsparse`, `netsparse-snic`,
+    /// `netsparse-switch`, `netsparse-netsim` and the engine, flags an
+    /// ad-hoc `... as u64` cast, and `disallowed_types` rules out
+    /// `std::time::Duration` and its `from_secs_f64` in every library
+    /// crate (`docs/STATIC_ANALYSIS.md`).
     ///
     /// # Panics
     ///

@@ -28,6 +28,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library rules (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_types)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+// Event-path rules.
+#![deny(clippy::cast_sign_loss, clippy::redundant_clone)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_macros))]
 
 pub mod link;
 pub mod metrics;

@@ -16,6 +16,12 @@
 //! Property Cache's read/response paths match); every `(src, dst)` pair has
 //! exactly one path, precomputed at construction.
 
+#![expect(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    reason = "topologies and their routes are built once, before the first event"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifies a switch within a [`Network`].
@@ -370,8 +376,11 @@ impl Network {
     /// # Panics
     ///
     /// Panics if the topology is degenerate (zero of any extent).
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper over `try_new` for static topologies"
+    )]
     pub fn new(topo: Topology) -> Self {
-        // simaudit:allow(no-lib-panic): documented panicking wrapper over try_new for static topologies
         Self::try_new(topo).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -436,8 +445,8 @@ impl Network {
     ///
     /// Panics if `src == dst` (no network traversal) or either is out of
     /// range.
+    #[expect(clippy::panic, reason = "documented panicking wrapper over `try_path`")]
     pub fn path(&self, src: u32, dst: u32) -> &Path {
-        // simaudit:allow(no-lib-panic): documented panicking wrapper over try_path for the hot path
         self.try_path(src, dst).unwrap_or_else(|e| panic!("{e}"))
     }
 

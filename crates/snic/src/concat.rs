@@ -106,6 +106,10 @@ impl ConcatPacket {
             kind,
             payload_per_pr: payload,
             wire_bytes: headers.packet_bytes(1, payload),
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "a degraded-mode PR travels alone in a packet of its own (§7.1)"
+            )]
             prs: vec![pr],
             degraded: true,
         }
@@ -362,6 +366,10 @@ impl ConcatPoint {
             cq.payload_per_pr = payload_bytes;
             cq.max_prs = self.cfg.headers.prs_per_mtu(self.cfg.mtu, payload_bytes);
             if self.pool.is_none() {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "allocates unless the buffer taken has room for a full MTU of PRs"
+                )]
                 cq.prs.reserve(cq.max_prs as usize);
             }
             self.eq.push(Reverse(EqEntry {
@@ -385,7 +393,7 @@ impl ConcatPoint {
         pr: Pr,
         payload_bytes: u32,
     ) -> Vec<ConcatPacket> {
-        let mut out = Vec::new(); // simaudit:allow(no-hot-alloc): convenience wrapper for tests and doctests; the event path uses push_with
+        let mut out = Vec::new();
         self.push_with(now, dest, kind, pr, payload_bytes, |p| out.push(p));
         out
     }
@@ -472,7 +480,7 @@ impl ConcatPoint {
 
     /// Flushes every CQ whose expiration time has passed.
     pub fn flush_expired(&mut self, now: SimTime) -> Vec<ConcatPacket> {
-        let mut out = Vec::new(); // simaudit:allow(no-hot-alloc): convenience wrapper for tests and doctests; the event path uses flush_expired_with
+        let mut out = Vec::new();
         self.flush_expired_with(now, |p| out.push(p));
         out
     }
@@ -480,7 +488,7 @@ impl ConcatPoint {
     /// Flushes every non-empty CQ regardless of expiry (drain at kernel
     /// end), in slot order.
     pub fn flush_all(&mut self) -> Vec<ConcatPacket> {
-        let mut out = Vec::new(); // simaudit:allow(no-hot-alloc): drain helper for tests and doctests, not on the event path
+        let mut out = Vec::new();
         for slot in 0..self.queues.len() {
             out.extend(self.flush_slot(slot, FlushReason::Drained));
         }

@@ -58,6 +58,10 @@ pub struct IdxFilter {
 impl IdxFilter {
     /// Creates an empty filter over `n_cols` idxs. Only the page
     /// directory is allocated (4 bytes per 512 columns).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "allocates the directory once per node, at build time"
+    )]
     pub fn new(n_cols: u32) -> Self {
         IdxFilter {
             n_cols,

@@ -86,6 +86,10 @@ impl PendingTable {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "allocates the first slots once per unit, at build time"
+    )]
     pub fn for_domain(capacity: usize, domain: u32) -> Self {
         assert!(capacity > 0, "pending table needs at least one entry");
         let n_slots = (2 * capacity).next_power_of_two().min(INITIAL_SLOTS);
@@ -167,7 +171,10 @@ impl PendingTable {
             self.grow();
         }
         match self.find(idx) {
-            // simaudit:allow(no-lib-panic): double insert is a model bug, same contract as before
+            #[expect(
+                clippy::panic,
+                reason = "a double insert is a model bug; callers coalesce"
+            )]
             Ok(_) => panic!("idx {idx} already outstanding; caller must coalesce"),
             Err(free) => self.slots[free] = idx,
         }
@@ -180,6 +187,10 @@ impl PendingTable {
     /// new size (rare: at most a few times per table).
     #[cold]
     fn grow(&mut self) {
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "a table doubles at most a few times per unit, then keeps its size"
+        )]
         let doubled = vec![EMPTY; 2 * self.slots.len()].into_boxed_slice();
         let old = std::mem::replace(&mut self.slots, doubled);
         self.shift -= 1;
@@ -201,8 +212,11 @@ impl PendingTable {
     /// request is a protocol violation.
     #[inline]
     pub fn remove(&mut self, idx: u32) {
+        #[expect(
+            clippy::panic,
+            reason = "a response with no outstanding request is a protocol violation"
+        )]
         let Ok(mut hole) = self.find(idx) else {
-            // simaudit:allow(no-lib-panic): orphan response is a protocol violation, same contract as before
             panic!("response for idx {idx} that was never outstanding")
         };
         // Backward-shift deletion: walk the rest of the chain and move

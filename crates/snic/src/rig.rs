@@ -365,6 +365,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "only membership is checked, never iteration order"
+    )]
     fn req_ids_are_unique_per_unit() {
         let (mut u, mut f) = setup();
         let mut ids = std::collections::HashSet::new();

@@ -556,6 +556,10 @@ mod tests {
 
     /// The hash-set formulations the passes above replaced, kept as
     /// reference models.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the hash-set reference models are compared by count, never iterated in order"
+    )]
     mod reference {
         use super::*;
         use std::collections::{HashMap, HashSet};

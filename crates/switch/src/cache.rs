@@ -187,6 +187,10 @@ impl PropertyCache {
     ///
     /// Panics if `property_bytes` is 0 or exceeds `S_max`, or the
     /// configured capacity cannot hold a single way of lines.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "allocates the tag and stamp arrays once per bank, at build time"
+    )]
     pub fn new(cfg: PropertyCacheConfig, property_bytes: u32) -> Self {
         assert!(property_bytes > 0, "property size must be nonzero");
         assert!(

@@ -76,6 +76,10 @@ impl MiddlePipes {
     /// Builds `cfg.pipes` banks, each with `1/pipes` of the switch's cache
     /// capacity, configured for `property_bytes`. A zero-capacity cache
     /// yields no banks (the no-cache ablation).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "builds the banks once per switch, at build time"
+    )]
     pub fn new(cfg: &SwitchConfig, property_bytes: u32) -> Self {
         let per_bank = cfg.cache.capacity_bytes / cfg.pipes.max(1) as u64;
         let line = (property_bytes

@@ -100,6 +100,10 @@ impl ReduceTable {
     /// An empty table of `capacity` entries with the given aggregation
     /// window. All storage is preallocated; the event path never grows it.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "preallocates the table once, at build time"
+    )]
     pub fn new(capacity: usize, window: SimTime) -> Self {
         ReduceTable {
             capacity,
@@ -174,7 +178,10 @@ impl ReduceTable {
         let row = *self.expiry.front()?;
         match self.entries.binary_search_by_key(&row, |e| e.row) {
             Ok(i) => Some(self.entries[i].deadline),
-            // simaudit:allow(no-lib-panic): every queued row has a live entry (1:1 by construction)
+            #[expect(
+                clippy::unreachable,
+                reason = "every queued row has a live entry (1:1 by construction)"
+            )]
             Err(_) => unreachable!("expiry queue references a missing entry"),
         }
     }
@@ -184,8 +191,11 @@ impl ReduceTable {
     /// event-path entry point.
     pub fn flush_expired_with(&mut self, now: SimTime, mut sink: impl FnMut(u32, Pr)) {
         while let Some(&row) = self.expiry.front() {
+            #[expect(
+                clippy::unreachable,
+                reason = "every queued row has a live entry (1:1 by construction)"
+            )]
             let Ok(i) = self.entries.binary_search_by_key(&row, |e| e.row) else {
-                // simaudit:allow(no-lib-panic): every queued row has a live entry (1:1 by construction)
                 unreachable!("expiry queue references a missing entry");
             };
             if self.entries[i].deadline > now {
@@ -205,8 +215,11 @@ impl ReduceTable {
     /// order.
     pub fn flush_all_with(&mut self, mut sink: impl FnMut(u32, Pr)) {
         while let Some(row) = self.expiry.pop_front() {
+            #[expect(
+                clippy::unreachable,
+                reason = "every queued row has a live entry (1:1 by construction)"
+            )]
             let Ok(i) = self.entries.binary_search_by_key(&row, |e| e.row) else {
-                // simaudit:allow(no-lib-panic): every queued row has a live entry (1:1 by construction)
                 unreachable!("expiry queue references a missing entry");
             };
             let e = self.entries.remove(i);

@@ -4,12 +4,9 @@
 #   scripts/ci.sh          # everything
 #   scripts/ci.sh --fast   # skip the release build (debug tests only)
 #
-# Steps: formatting, the simcheck static-analysis passes (see
-# docs/STATIC_ANALYSIS.md) — run twice: once as `--format json` writing
-# the lint_report.json artifact (kept either way, gate fails on any
-# violation) and once as text for readable console diagnostics — the
-# simcheck engine's own unit/fixture suite (`cargo test -p xtask`),
-# clippy with the workspace deny-set, the docs build with rustdoc
+# Steps: formatting, clippy with the workspace's lint set and
+# `clippy.toml` (see docs/STATIC_ANALYSIS.md) twice, in the default build
+# and with every feature on, the docs build with rustdoc
 # warnings denied, the debug test suite (runtime
 # auditor active via debug_assertions), the tier-1 release build + tests,
 # the fault-recovery suite under the release auditor (see
@@ -60,17 +57,10 @@ check_section() {
 }
 
 run cargo fmt --all --check
-# simcheck: write the machine-readable report first (archived as a CI
-# artifact whether or not the gate passes), then fail on violations with
-# readable text diagnostics.
-echo "==> cargo xtask lint --format json > lint_report.json"
-cargo xtask lint --format json > lint_report.json || {
-    cargo xtask lint
-    exit 1
-}
-run cargo xtask lint --quiet
-run cargo test -q -p xtask
+# Lint both sides of every feature gate: code behind `trace` and `audit`
+# is seen only by the second run.
 run cargo clippy --workspace --all-targets -- -D warnings
+run cargo clippy --workspace --all-targets --all-features -- -D warnings
 # Docs: every rustdoc warning is an error, so an unresolved or redundant
 # intra-doc link (say, to a deleted item) fails here. Every target but the
 # benchmark binary is documented: its module docs link `e2e` and `traced`,
@@ -120,12 +110,11 @@ if [[ "$fast" -eq 0 ]]; then
     # count, audit digests included (see docs/ARCHITECTURE.md).
     run cargo test -q -p netsparse-tests --features audit --release --test sweep_parallel
     # Timed serial-vs-parallel repro smoke: asserts byte-equality and
-    # records both wall-clocks in BENCH_sweep.ci.json (archived like
-    # lint_report.json).
+    # records both wall-clocks in the BENCH_sweep.ci.json artifact.
     echo "==> cargo run --release -q -p netsparse-bench --bin bench_sweep -- --scale 0.1 > BENCH_sweep.ci.json"
     cargo run --release -q -p netsparse-bench --bin bench_sweep -- --scale 0.1 > BENCH_sweep.ci.json
     # Engine-throughput smoke: re-measures events/sec on the canonical
-    # point, writes BENCH_engine.ci.json (archived like lint_report.json),
+    # point, writes the BENCH_engine.ci.json artifact,
     # and fails if throughput regressed >20% vs the committed
     # BENCH_engine.json baseline.
     run cargo run --release -q -p netsparse-bench --bin bench_engine -- \
@@ -139,7 +128,7 @@ if [[ "$fast" -eq 0 ]]; then
     check_section ext_reduce "Extension: in-network reduction"
     # Chaos smoke: 50 seeded scenarios through the oracle suite with the
     # runtime auditor on. Exits non-zero on any oracle violation or
-    # liveness stall; CHAOS_report.json is archived like lint_report.json.
+    # liveness stall; CHAOS_report.json is kept as an artifact.
     # The shrink demo proves the broken fixture still reduces to a
     # minimal replayable repro (see docs/FAULTS.md §Chaos testing).
     run cargo run --release -q -p netsparse-bench --features audit --bin chaos -- \
