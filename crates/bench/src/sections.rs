@@ -63,7 +63,6 @@ pub static SECTIONS: &[Section] = &[
     section!(ext_latency, "Extension: PR latency"),
     section!(ext_cache_policy, "Extension: cache replacement policy"),
     section!(characterize, "Workload characterization"),
-    #[cfg(feature = "trace")]
     section!(ext_trace, "Extension: trace timeline (observability)"),
 ];
 
@@ -101,15 +100,12 @@ mod tests {
 
     #[test]
     fn all_selects_every_section_once_in_order() {
-        let mut order: Vec<&str> = "table1 table2 table3 table4 fig10 fig12 table7 fig13 fig14 \
+        let order: Vec<&str> = "table1 table2 table3 table4 fig10 fig12 table7 fig13 fig14 \
              table8 fig15 fig16 fig17 fig18 fig19 fig20 table9 fig21 fig22 ext_virtual_cq \
              ext_faults ext_fault_sweep ext_hybrid ext_partition ext_reduce ext_kernels \
-             ext_adaptive ext_latency ext_cache_policy characterize"
+             ext_adaptive ext_latency ext_cache_policy characterize ext_trace"
             .split(' ')
             .collect();
-        if cfg!(feature = "trace") {
-            order.push("ext_trace");
-        }
         let all = select(ALL).expect("all is a key");
         let keys: Vec<&str> = all.iter().map(|s| s.key).collect();
         assert_eq!(keys, order);

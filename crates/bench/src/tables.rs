@@ -1443,8 +1443,9 @@ pub fn characterize(o: &BenchOpts) -> String {
 
 /// Extension (observability): structured trace capture — per-matrix
 /// record volume, the golden-trace digest, and the kernel's timeline
-/// split into four quartile windows (see `docs/OBSERVABILITY.md`).
-#[cfg(feature = "trace")]
+/// split into four quartile windows (see `docs/OBSERVABILITY.md`). The
+/// buffer holds 2^22 records (128 MiB), more than any matrix offers at
+/// the default scale, so each digest and window covers the whole run.
 pub fn ext_trace(o: &BenchOpts) -> String {
     use netsparse_desim::trace::TimelineMetrics;
     use netsparse_desim::TraceConfig;
@@ -1464,7 +1465,7 @@ pub fn ext_trace(o: &BenchOpts) -> String {
     // The tracer itself is single-threaded (`Rc`-based), but each traced
     // run owns its tracer, so whole points still fan out cleanly.
     let rows = SweepRunner::from_opts(&o).map(&exps, |e| {
-        let report = e.run_traced(&mini_cfg(k), TraceConfig::default());
+        let report = e.run_traced(&mini_cfg(k), TraceConfig { capacity: 1 << 22 });
         let tr = report.trace.as_ref().expect("traced run carries a trace");
         let tl = TimelineMetrics::derive(&tr.buffer, 4);
         (

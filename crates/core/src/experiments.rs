@@ -127,7 +127,6 @@ impl Experiment {
 
     /// Runs the simulation with a structured trace capture attached; the
     /// report's `trace` field carries the buffer, timeline and digest.
-    #[cfg(feature = "trace")]
     pub fn run_traced(&self, cfg: &ClusterConfig, tcfg: netsparse_desim::TraceConfig) -> SimReport {
         crate::sim::simulate_traced(cfg, &self.wl, tcfg)
     }

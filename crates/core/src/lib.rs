@@ -53,9 +53,7 @@ pub mod sim;
 
 pub use config::{ClusterConfig, Mechanisms, ReduceConfig};
 pub use metrics::{ReduceReport, SimReport};
-pub use sim::{simulate, try_simulate, SimError};
-#[cfg(feature = "trace")]
-pub use sim::{simulate_traced, try_simulate_traced};
+pub use sim::{simulate, simulate_traced, try_simulate, try_simulate_traced, SimError};
 
 /// One-stop imports for examples and benches.
 pub mod prelude {

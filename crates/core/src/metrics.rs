@@ -196,8 +196,7 @@ pub struct SimReport {
     /// disabled (every pre-extension scenario).
     pub reduce: Option<ReduceReport>,
     /// Structured trace capture (`simulate_traced`); `None` for untraced
-    /// runs. Only present when the `trace` feature is enabled.
-    #[cfg(feature = "trace")]
+    /// runs.
     pub trace: Option<netsparse_desim::TraceReport>,
 }
 
@@ -358,7 +357,6 @@ impl fmt::Display for SimReport {
                 rr.root_wire_bytes
             )?;
         }
-        #[cfg(feature = "trace")]
         if let Some(tr) = &self.trace {
             writeln!(
                 f,
@@ -415,7 +413,6 @@ mod tests {
             audit_digest: None,
             faults: None,
             reduce: None,
-            #[cfg(feature = "trace")]
             trace: None,
         }
     }

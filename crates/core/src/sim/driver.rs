@@ -13,19 +13,18 @@
 //! surface.
 //!
 //! Auditing and tracing are hooks, not forks: the same driver body runs
-//! with or without them (they compile to nothing when the features are
-//! off), which is what lets [`simulate`] and `simulate_traced` share every
-//! line of the event loop.
+//! with or without them. The auditor compiles to nothing outside debug
+//! and `audit` builds; the tracer is in every build and records only
+//! when attached, which is what lets [`simulate`] and [`simulate_traced`]
+//! share every line of the event loop.
 
+use netsparse_desim::trace::{
+    lane, DropReason, TraceConfig, TraceEvent, TraceReport, Tracer, TrackId,
+};
 use netsparse_desim::{Engine, Histogram, LossProcess, Reservoir, Scheduler, SimTime, SplitMix64};
 use netsparse_netsim::{Element, LinkParams};
 use netsparse_snic::{ConcatPacket, IdxFilter, PrKind};
 use netsparse_sparse::{ColumnSet, CommWorkload};
-
-#[cfg(feature = "trace")]
-use netsparse_desim::trace::{
-    lane, DropReason, TraceConfig, TraceEvent, TraceReport, Tracer, TrackId,
-};
 
 use crate::config::ClusterConfig;
 use crate::metrics::{FaultReport, HotLink, NodeReport, ReduceReport, SimReport};
@@ -48,7 +47,7 @@ pub(crate) struct Ctx<'r, 'w, 'q> {
 
 /// Cross-cutting run state shared by every component: precomputed global
 /// latencies, the packet-loss process, fault accounting, the PR round-trip
-/// reservoir, and the (feature-gated) audit/trace hooks.
+/// reservoir, and the audit and trace hooks.
 pub(crate) struct Shared {
     /// Property payload bytes (`k * 4`).
     pub(crate) payload: u32,
@@ -76,7 +75,6 @@ pub(crate) struct Shared {
     #[cfg(any(debug_assertions, feature = "audit"))]
     pub(crate) audit: netsparse_desim::Auditor,
     /// Structured tracer, when one is attached.
-    #[cfg(feature = "trace")]
     pub(crate) tracer: Option<Tracer>,
 }
 
@@ -96,13 +94,11 @@ impl Shared {
             pr_latency: Reservoir::new(4_096, 0x01A7_E0C1),
             #[cfg(any(debug_assertions, feature = "audit"))]
             audit: netsparse_desim::Auditor::new(),
-            #[cfg(feature = "trace")]
             tracer: None,
         }
     }
 
     /// Records a trace event if a tracer is attached.
-    #[cfg(feature = "trace")]
     #[inline]
     pub(crate) fn trace(&self, track: TrackId, event: TraceEvent) {
         if let Some(tr) = &self.tracer {
@@ -116,7 +112,6 @@ impl Shared {
     pub(crate) fn drop_dead(&mut self, sw: u32, pkt: &ConcatPacket) {
         self.faults.dropped_dead += 1;
         self.account_partial_drop(pkt);
-        #[cfg(feature = "trace")]
         self.trace(
             TrackId::switch(sw, lane::FAULT),
             TraceEvent::PacketDropped {
@@ -124,8 +119,6 @@ impl Shared {
                 prs: pkt.prs.len() as u32,
             },
         );
-        #[cfg(not(feature = "trace"))]
-        let _ = sw;
     }
 
     /// Closes the reduction conservation ledger for a dropped packet: any
@@ -182,7 +175,6 @@ impl<'a> World<'a> {
     /// and switch concatenation points, Property-Cache banks, and the
     /// network links (the only links the model has, so the sum of
     /// `link_tx` bytes replays to exactly `total_link_bytes`).
-    #[cfg(feature = "trace")]
     fn attach_tracer(&mut self, tracer: &Tracer) {
         for st in &mut self.nodes {
             for u in &mut st.units {
@@ -216,7 +208,6 @@ impl<'a> World<'a> {
     fn dispatch(&mut self, now: SimTime, ev: Event, sched: &mut Scheduler<'_, Event>) {
         // Advance the tracer's stamp clock once per delivered event; every
         // component record within this event carries this (monotone) time.
-        #[cfg(feature = "trace")]
         if let Some(tr) = &self.shared.tracer {
             tr.set_now(now);
         }
@@ -472,7 +463,6 @@ impl<'a> World<'a> {
         };
         // Fold the trace into the report: raw buffer, derived timeline
         // (16 windows), and the full-trace digest.
-        #[cfg(feature = "trace")]
         let trace = self
             .shared
             .tracer
@@ -496,7 +486,6 @@ impl<'a> World<'a> {
             audit_digest,
             faults,
             reduce,
-            #[cfg(feature = "trace")]
             trace,
         }
     }
@@ -531,20 +520,17 @@ pub fn simulate(cfg: &ClusterConfig, wl: &CommWorkload) -> SimReport {
 /// [`SimError`] instead of a panic. Validation is front-loaded, so a bad
 /// configuration is rejected before any event runs.
 pub fn try_simulate(cfg: &ClusterConfig, wl: &CommWorkload) -> Result<SimReport, SimError> {
-    cfg.validate()?;
-    let world = World::try_new(cfg, wl)?;
-    drive(world)
+    run(cfg, wl, None)
 }
 
 /// Runs exactly like [`simulate`] with a structured tracer attached; the
 /// returned report additionally carries a `TraceReport` (records,
-/// timeline metrics, full-trace digest). Available only under the `trace`
-/// feature — default builds compile no trace code at all.
+/// timeline metrics, full-trace digest). Every other field equals the
+/// untraced report's: the tracer observes and never perturbs the run.
 ///
 /// # Panics
 ///
 /// Same conditions as [`simulate`].
-#[cfg(feature = "trace")]
 #[expect(
     clippy::panic,
     reason = "documented panicking wrapper over `try_simulate_traced`"
@@ -554,25 +540,30 @@ pub fn simulate_traced(cfg: &ClusterConfig, wl: &CommWorkload, tcfg: TraceConfig
 }
 
 /// The fallible counterpart of [`simulate_traced`]; see [`try_simulate`].
-#[cfg(feature = "trace")]
 pub fn try_simulate_traced(
     cfg: &ClusterConfig,
     wl: &CommWorkload,
     tcfg: TraceConfig,
 ) -> Result<SimReport, SimError> {
-    cfg.validate()?;
-    let mut world = World::try_new(cfg, wl)?;
-    let tracer = Tracer::new(tcfg);
-    world.attach_tracer(&tracer);
-    drive(world)
+    run(cfg, wl, Some(Tracer::new(tcfg)))
 }
 
-/// The single event-loop body behind [`simulate`] and `simulate_traced`:
-/// inject the fault schedule and the initial host stimuli, drain the
-/// queue through `World::dispatch` under the `cfg.limits` liveness
-/// budgets ([`Engine::run`]), then assemble the report. A tripped budget
-/// comes back as [`SimError::Stalled`].
-fn drive(mut world: World<'_>) -> Result<SimReport, SimError> {
+/// The single body behind [`simulate`] and [`simulate_traced`]: validate,
+/// build the world and attach `tracer` if there is one, inject the fault
+/// schedule and the initial host stimuli, drain the queue through
+/// `World::dispatch` under the `cfg.limits` liveness budgets
+/// ([`Engine::run`]), then assemble the report. A tripped budget comes
+/// back as [`SimError::Stalled`].
+fn run(
+    cfg: &ClusterConfig,
+    wl: &CommWorkload,
+    tracer: Option<Tracer>,
+) -> Result<SimReport, SimError> {
+    cfg.validate()?;
+    let mut world = World::try_new(cfg, wl)?;
+    if let Some(tracer) = &tracer {
+        world.attach_tracer(tracer);
+    }
     let mut engine = Engine::new();
     for (t, action) in std::mem::take(&mut world.pending_transitions) {
         engine.schedule(t, Event::FaultTransition { action });

@@ -12,13 +12,11 @@
 //! (scheduled failures and repairs) are fabric events: they mutate the
 //! [`FailureSet`] and reconverge every route over the survivors.
 
+use netsparse_desim::trace::{TraceEvent, TrackId};
 use netsparse_desim::{Scheduler, SimTime};
 use netsparse_netsim::topology::FailureSet;
 use netsparse_netsim::{Element, Link, LinkId, Network, SwitchId, Topology};
 use netsparse_snic::ConcatPacket;
-
-#[cfg(feature = "trace")]
-use netsparse_desim::trace::{TraceEvent, TrackId};
 
 use crate::config::{ClusterConfig, FaultTarget};
 use crate::sim::driver::Shared;
@@ -249,10 +247,8 @@ impl Fabric {
             FaultAction::RepairLink(l) => self.failures.repair_link(l),
         }
         shared.faults.fault_transitions += 1;
-        #[cfg(feature = "trace")]
         let failovers_before = shared.faults.route_failovers;
         self.rebuild_routes(shared);
-        #[cfg(feature = "trace")]
         shared.trace(
             TrackId::cluster(),
             TraceEvent::FaultApplied {

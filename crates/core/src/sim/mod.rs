@@ -41,9 +41,9 @@
 //!   failover reconvergence;
 //! - `driver` — the component wiring, the one exhaustive `match` that
 //!   routes each event to its owner's handler, and the single generic
-//!   event loop behind [`simulate`] (and `simulate_traced` under the
-//!   `trace` feature), with auditing and tracing injected as feature-gated
-//!   hooks.
+//!   event loop behind [`simulate`] and [`simulate_traced`], with
+//!   auditing (debug and `audit` builds) and tracing (every build,
+//!   recording only when a tracer is attached) injected as hooks.
 
 // Event-path rules (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::redundant_clone)]
@@ -57,9 +57,7 @@ mod fabric;
 mod node;
 mod rack;
 
-pub use driver::{simulate, try_simulate};
-#[cfg(feature = "trace")]
-pub use driver::{simulate_traced, try_simulate_traced};
+pub use driver::{simulate, simulate_traced, try_simulate, try_simulate_traced};
 pub use error::SimError;
 
 #[cfg(test)]

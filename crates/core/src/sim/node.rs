@@ -15,6 +15,7 @@
 
 use std::collections::VecDeque;
 
+use netsparse_desim::trace::{lane, TraceEvent, TrackId};
 use netsparse_desim::{Scheduler, SimTime};
 use netsparse_snic::protocol::partial_contrib_value;
 use netsparse_snic::{
@@ -22,9 +23,6 @@ use netsparse_snic::{
     RigClient,
 };
 use netsparse_sparse::CommWorkload;
-
-#[cfg(feature = "trace")]
-use netsparse_desim::trace::{lane, TraceEvent, TrackId};
 
 use crate::config::{ClusterConfig, ConcatImpl};
 use crate::sim::driver::Ctx;
@@ -350,7 +348,6 @@ impl NodeState {
         let end = (start + batch).min(stream_len);
         self.stream_pos = end;
         self.active_cmds += 1;
-        #[cfg(feature = "trace")]
         ctx.shared.trace(
             TrackId::node(self.id, lane::HOST),
             TraceEvent::CmdIssued {
@@ -545,7 +542,6 @@ impl NodeState {
         unit.received_this_cmd.clear();
         unit.cmd_retries = 0;
         self.active_cmds -= 1;
-        #[cfg(feature = "trace")]
         ctx.shared.trace(
             TrackId::node(self.id, lane::HOST),
             TraceEvent::CmdCompleted { unit: unit_id },
@@ -623,7 +619,6 @@ impl NodeState {
     /// filter bits, wake stalled units, complete commands.
     fn accept_responses(&mut self, now: SimTime, pkt: ConcatPacket, ctx: &mut Ctx<'_, '_, '_>) {
         debug_assert_eq!(pkt.dest, self.id, "response packet delivered to wrong node");
-        #[cfg(feature = "trace")]
         let id = self.id;
         let watchdog_armed = ctx.cfg.faults.watchdog_ns > 0;
         let mut wake = std::mem::take(&mut self.wake_buf);
@@ -642,7 +637,6 @@ impl NodeState {
                         .record(now.saturating_sub(t_issue).as_ps());
                     #[cfg(any(debug_assertions, feature = "audit"))]
                     ctx.shared.audit.resolve("pr");
-                    #[cfg(feature = "trace")]
                     ctx.shared.trace(
                         TrackId::node(id, lane::RIG_BASE + pr.src_tid as u32),
                         TraceEvent::PrResolved { idx: pr.idx },
@@ -652,7 +646,6 @@ impl NodeState {
                     // entry is closed); the data is still good, so deliver
                     // it, but don't resolve or time it.
                     ctx.shared.faults.stale_responses += 1;
-                    #[cfg(feature = "trace")]
                     ctx.shared.trace(
                         TrackId::node(id, lane::RIG_BASE + pr.src_tid as u32),
                         TraceEvent::StaleResponse { idx: pr.idx },
@@ -753,7 +746,6 @@ impl NodeState {
         ctx.shared.faults.abandoned_prs += n_stale;
         #[cfg(any(debug_assertions, feature = "audit"))]
         ctx.shared.audit.abandon_n("pr", n_stale);
-        #[cfg(feature = "trace")]
         ctx.shared.trace(
             TrackId::node(self.id, lane::RIG_BASE + unit_id as u32),
             TraceEvent::WatchdogRetry {

@@ -12,14 +12,11 @@
 //! blackholing and the configured loss process — also happens here,
 //! before any processing, exactly once per traversal.
 
+use netsparse_desim::trace::{lane, DropReason, TraceEvent, TrackId};
 use netsparse_desim::{Scheduler, SimTime};
+use netsparse_netsim::SwitchId;
 use netsparse_snic::{ConcatConfig, ConcatPacket, ConcatPoint, PrKind};
 use netsparse_switch::{MiddlePipes, ReduceTable};
-
-#[cfg(feature = "trace")]
-use netsparse_desim::trace::{lane, DropReason, TraceEvent, TrackId};
-
-use netsparse_netsim::SwitchId;
 
 use crate::config::ClusterConfig;
 use crate::sim::driver::Ctx;
@@ -173,7 +170,6 @@ impl RackState {
         }
         if ctx.shared.loss_active && ctx.shared.loss.drop_packet() {
             ctx.shared.account_partial_drop(&pkt);
-            #[cfg(feature = "trace")]
             ctx.shared.trace(
                 TrackId::switch(sw, lane::FAULT),
                 TraceEvent::PacketDropped {

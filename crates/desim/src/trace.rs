@@ -9,11 +9,13 @@
 //! current event time and buffered in a bounded ring with drop accounting,
 //! so tracing a multi-minute run cannot exhaust memory.
 //!
-//! Tracing is compiled in only under the `trace` cargo feature and costs
-//! nothing otherwise: like the `audit` feature, this module always
-//! compiles (so signatures stay nameable), but every field and call site
-//! in the simulation crates is gated on `#[cfg(feature = "trace")]` — the
-//! default build's hot paths contain no trace code at all.
+//! Tracing is compiled into every build and off until a tracer is
+//! attached: each instrumented component holds an `Option<Tracer>`, so a
+//! run without one pays a single not-taken branch per call site. A run is
+//! traced exactly when its caller attaches a tracer (`simulate_traced` in
+//! the `netsparse` crate). [`Tracer::record`] is `#[cold]` and
+//! `#[inline(never)]`, which keeps the record path out of the event
+//! handlers' hot loops.
 //!
 //! Three consumers read the buffer back (see `docs/OBSERVABILITY.md`):
 //!
@@ -616,7 +618,12 @@ impl Tracer {
     }
 
     /// Records `event` on `track`, stamped with the current event time.
-    #[inline]
+    ///
+    /// Cold and never inlined: its callers sit in the event handlers'
+    /// hot paths behind an `if let Some(tracer)`, and an inlined body
+    /// there costs untraced runs about 3% (see docs/OBSERVABILITY.md).
+    #[cold]
+    #[inline(never)]
     pub fn record(&self, track: TrackId, event: TraceEvent) {
         let mut st = self.state.borrow_mut();
         let time = st.now;

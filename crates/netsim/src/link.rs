@@ -1,9 +1,7 @@
 //! Link timing: serialization, propagation and backlog tracking.
 
-use netsparse_desim::SimTime;
-
-#[cfg(feature = "trace")]
 use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
+use netsparse_desim::SimTime;
 
 /// Static link parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,7 +64,6 @@ pub struct Link {
     /// link mostly carries runs of one size, so this spares the f64
     /// divide-and-round of [`LinkParams::serialization`] per packet.
     last_serialization: (u64, SimTime),
-    #[cfg(feature = "trace")]
     tracer: Option<(Tracer, TrackId)>,
 }
 
@@ -80,7 +77,6 @@ impl Link {
             bytes: 0,
             packets: 0,
             last_serialization: (0, params.serialization(0)),
-            #[cfg(feature = "trace")]
             tracer: None,
         }
     }
@@ -88,7 +84,6 @@ impl Link {
     /// Attaches a tracer; every transmit is recorded as a `link_tx` on
     /// `track` (this link's wire lane), carrying the packet's bytes and
     /// the queueing delay it saw.
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, tracer: Tracer, track: TrackId) {
         self.tracer = Some((tracer, track));
     }
@@ -110,7 +105,6 @@ impl Link {
         self.busy_until = depart + self.last_serialization.1;
         self.bytes += bytes;
         self.packets += 1;
-        #[cfg(feature = "trace")]
         if let Some((tracer, track)) = &self.tracer {
             tracer.record(
                 *track,

@@ -33,9 +33,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use netsparse_desim::trace::FlushReason;
-#[cfg(feature = "trace")]
-use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
+use netsparse_desim::trace::{FlushReason, TraceEvent, Tracer, TrackId};
 use netsparse_desim::{Histogram, SimTime};
 
 use crate::protocol::{HeaderSpec, Pr, PrKind, PR_KINDS};
@@ -212,7 +210,6 @@ pub struct ConcatPoint {
     expired: Vec<usize>,
     pool: Option<Pool>,
     prs_per_packet: Histogram,
-    #[cfg(feature = "trace")]
     tracer: Option<(Tracer, TrackId)>,
 }
 
@@ -274,7 +271,6 @@ impl ConcatPoint {
             expired: Vec::new(),
             pool,
             prs_per_packet: Histogram::new(),
-            #[cfg(feature = "trace")]
             tracer: None,
         }
     }
@@ -292,7 +288,6 @@ impl ConcatPoint {
 
     /// Attaches a tracer; every emitted packet is recorded as a
     /// `concat_flush` on `track` (the owner's concat lane).
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, tracer: Tracer, track: TrackId) {
         self.tracer = Some((tracer, track));
     }
@@ -543,7 +538,6 @@ impl ConcatPoint {
         debug_assert!(!prs.is_empty());
         let wire_bytes = self.cfg.headers.packet_bytes(prs.len() as u32, payload);
         self.prs_per_packet.record(prs.len() as u64);
-        #[cfg(feature = "trace")]
         if let Some((tracer, track)) = &self.tracer {
             tracer.record(
                 *track,
@@ -554,8 +548,6 @@ impl ConcatPoint {
                 },
             );
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = reason;
         ConcatPacket {
             dest,
             kind,

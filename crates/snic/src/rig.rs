@@ -20,7 +20,6 @@
 use crate::filter::IdxFilter;
 use crate::pending::PendingTable;
 use crate::protocol::Pr;
-#[cfg(feature = "trace")]
 use netsparse_desim::trace::{lane, TraceEvent, Tracer, TrackId};
 
 /// What the RIG pipeline decided for one idx.
@@ -81,7 +80,6 @@ pub struct RigClient {
     pending: PendingTable,
     next_req_id: u32,
     stats: RigStats,
-    #[cfg(feature = "trace")]
     tracer: Option<Tracer>,
 }
 
@@ -113,19 +111,16 @@ impl RigClient {
             pending,
             next_req_id: 0,
             stats: RigStats::default(),
-            #[cfg(feature = "trace")]
             tracer: None,
         }
     }
 
     /// Attaches a tracer; pipeline decisions are recorded on this unit's
     /// `rig` lane of the node's track.
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
     }
 
-    #[cfg(feature = "trace")]
     #[inline]
     fn trace(&self, event: TraceEvent) {
         if let Some(tr) = &self.tracer {
@@ -182,13 +177,11 @@ impl RigClient {
         }
         if coalesce_enabled && self.pending.contains(idx) {
             self.stats.coalesced += 1;
-            #[cfg(feature = "trace")]
             self.trace(TraceEvent::Coalesced { idx });
             return IdxOutcome::Coalesced;
         }
         if filter_enabled && filter.contains(idx) {
             self.stats.filtered += 1;
-            #[cfg(feature = "trace")]
             self.trace(TraceEvent::FilterHit { idx });
             return IdxOutcome::Filtered;
         }
@@ -204,20 +197,17 @@ impl RigClient {
                 idx,
                 req_id: self.bump_req_id(),
             };
-            #[cfg(feature = "trace")]
             self.trace(TraceEvent::PrIssued { idx });
             return IdxOutcome::Issued(pr);
         }
         if !self.pending.insert(idx) {
             self.stats.stalls += 1;
-            #[cfg(feature = "trace")]
             self.trace(TraceEvent::Stalled {
                 outstanding: self.pending.len() as u32,
             });
             return IdxOutcome::Stalled;
         }
         self.stats.issued += 1;
-        #[cfg(feature = "trace")]
         self.trace(TraceEvent::PrIssued { idx });
         IdxOutcome::Issued(Pr {
             src_node: self.node,

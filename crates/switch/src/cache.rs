@@ -16,7 +16,6 @@
 //! a probe scans one set's tags contiguously (64 bytes at 16 ways) and
 //! reads a stamp only to refresh it or to pick a victim.
 
-#[cfg(feature = "trace")]
 use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
 
 /// Replacement policy of the Property Cache. The paper's design point is
@@ -171,7 +170,6 @@ pub struct PropertyCache {
     stamps: Vec<u64>,
     tick: u64,
     stats: CacheStats,
-    #[cfg(feature = "trace")]
     tracer: Option<(Tracer, TrackId)>,
 }
 
@@ -219,19 +217,16 @@ impl PropertyCache {
             stamps: vec![0; lines],
             tick: 0,
             stats: CacheStats::default(),
-            #[cfg(feature = "trace")]
             tracer: None,
         }
     }
 
     /// Attaches a tracer; probes and deposits are recorded on `track`
     /// (the owning switch's cache lane).
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, tracer: Tracer, track: TrackId) {
         self.tracer = Some((tracer, track));
     }
 
-    #[cfg(feature = "trace")]
     #[inline]
     fn trace(&self, event: TraceEvent) {
         if let Some((tracer, track)) = &self.tracer {
@@ -322,12 +317,10 @@ impl PropertyCache {
                 self.stamps[line] = self.tick;
             }
             self.stats.hits += 1;
-            #[cfg(feature = "trace")]
             self.trace(TraceEvent::CacheHit { idx });
             return true;
         }
         self.stats.misses += 1;
-        #[cfg(feature = "trace")]
         self.trace(TraceEvent::CacheMiss { idx });
         false
     }
@@ -377,7 +370,6 @@ impl PropertyCache {
         let line = base + way;
         if self.tags[line] != INVALID {
             self.stats.evictions += 1;
-            #[cfg(feature = "trace")]
             self.trace(TraceEvent::CacheEvict {
                 idx: self.tags[line],
             });
@@ -385,7 +377,6 @@ impl PropertyCache {
         self.tags[line] = idx;
         self.stamps[line] = tick;
         self.stats.insertions += 1;
-        #[cfg(feature = "trace")]
         self.trace(TraceEvent::CacheInsert { idx });
     }
 

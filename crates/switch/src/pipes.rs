@@ -10,7 +10,6 @@
 //! function both packet types agree on, implementable in hardware from the
 //! PR-layer headers.
 
-#[cfg(feature = "trace")]
 use netsparse_desim::trace::{Tracer, TrackId};
 
 use crate::cache::{CacheStats, PropertyCache, PropertyCacheConfig};
@@ -109,7 +108,6 @@ impl MiddlePipes {
 
     /// Attaches a tracer to every bank; all banks share `track` (the
     /// switch's cache lane — bank interleaving is a simulation detail).
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, tracer: Tracer, track: TrackId) {
         for b in &mut self.banks {
             b.set_tracer(tracer.clone(), track);

@@ -10,14 +10,14 @@
 # warnings denied, the debug test suite (runtime
 # auditor active via debug_assertions), the tier-1 release build + tests,
 # the fault-recovery suite under the release auditor (see
-# docs/FAULTS.md), the structured-tracing suites with the `trace` feature
-# on (see docs/OBSERVABILITY.md), the repo benchmark's tests in its
-# per-layer (`trace`) build, one end-to-end and one per-layer uk_full
-# pass of the standalone benchmark package through its run.py, smoke
-# runs of the ext_fault_sweep and
-# ext_trace sections of the `repro` binary, byte-for-byte checks of the
-# table1, table4, table7, characterize and ext_virtual_cq sections
-# against the committed docs/sample_output/repro_all.txt, the
+# docs/FAULTS.md), the structured-tracing suites under the release
+# auditor (the tracer is in every build; see docs/OBSERVABILITY.md), the
+# repo benchmark's tests in its per-layer (`trace`) build, one end-to-end
+# and one per-layer uk_full pass of the standalone benchmark package
+# through its run.py, a smoke run of the ext_fault_sweep section of the
+# `repro` binary, byte-for-byte checks of the table1, table4, table7,
+# characterize, ext_virtual_cq and ext_trace sections against the
+# committed docs/sample_output/repro_all.txt, the
 # serial-vs-parallel sweep equivalence suite, a timed
 # serial-vs-parallel sweep smoke via
 # `bench_sweep`, whose serial vs parallel wall-clock JSON goes to the
@@ -57,8 +57,9 @@ check_section() {
 }
 
 run cargo fmt --all --check
-# Lint both sides of every feature gate: code behind `trace` and `audit`
-# is seen only by the second run.
+# Lint both sides of every feature gate: code behind `audit`, and the
+# benchmark's per-layer pass behind its `trace` feature, is seen only by
+# the second run.
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo clippy --workspace --all-targets --all-features -- -D warnings
 # Docs: every rustdoc warning is an error, so an unresolved or redundant
@@ -90,13 +91,13 @@ if [[ "$fast" -eq 0 ]]; then
     # The §7.2 virtual-CQ table simulates every matrix with both pools.
     check_section ext_virtual_cq "Extension: virtual CQs (§7.2)"
     # Structured tracing: golden trace, trace-vs-metrics consistency,
-    # exporter validity and the protocol property suite, with the tracer
-    # and the release auditor both compiled in.
-    run cargo test -q -p netsparse-tests --features "trace,audit" --release \
+    # exporter validity and the protocol property suite, with the release
+    # auditor compiled in. The ext_trace section pins every matrix's
+    # trace digest.
+    run cargo test -q -p netsparse-tests --features audit --release \
         --test trace_golden --test trace_consistency --test trace_exporters \
         --test protocol_properties
-    run cargo run --release -q -p netsparse-bench --features trace --bin repro -- \
-        ext_trace --scale 0.05
+    check_section ext_trace "Extension: trace timeline (observability)"
     # The benchmark's per-layer pass replays RigClient, IdxFilter and the
     # other components; test it in the build that pass uses.
     run cargo test -q --release -p netsparse-bench --bin benchmark --features trace

@@ -9,8 +9,7 @@
 //! The seed-7 point is also pinned to committed constants, with every
 //! mechanism on and again with in-network reduction, so a change that
 //! moves the simulated behaviour fails here even though it is still
-//! deterministic. The trace-level pins live in `trace_golden.rs`, which
-//! needs the `trace` feature.
+//! deterministic. The trace-level pins live in `trace_golden.rs`.
 
 use netsparse::config::ReduceConfig;
 use netsparse::{simulate, ClusterConfig, SimReport};

@@ -3,18 +3,21 @@
 //! - Every package is a path package. Nothing comes from a registry or a
 //!   git repository, so no outside source of randomness (or of anything
 //!   else) enters the build; runs draw only from `netsparse_desim::rng`.
-//! - The `audit` and `trace` gates reach every crate that declares them.
-//!   A package with a normal dependency on a crate that declares one of
-//!   them must declare it too and forward `dep/feature` to every such
-//!   dependency. An unforwarded gate compiles the auditor or the tracer
-//!   out of part of the dependency chain, silently.
+//! - The `audit` gate reaches every crate that declares it. A package
+//!   with a normal dependency on a crate that declares it must declare it
+//!   too and forward `dep/audit` to every such dependency. An unforwarded
+//!   gate compiles the auditor out of part of the dependency chain,
+//!   silently.
+//! - Every `trace` feature is empty. The tracer is compiled into every
+//!   build and attached per run; the empty features remain only because
+//!   the benchmark's manifest names them (ROADMAP item 5).
 
 use std::process::Command;
 
 use netsparse_tests::json::{self, Value};
 
-/// The feature gates that must be forwarded through the dependency graph.
-const FORWARDED: &[&str] = &["audit", "trace"];
+/// The feature gate that must be forwarded through the dependency graph.
+const FORWARDED: &str = "audit";
 
 /// The `packages` array of this workspace's `cargo metadata`.
 fn workspace_packages() -> Vec<Value> {
@@ -36,10 +39,10 @@ fn workspace_packages() -> Vec<Value> {
 /// One line per forwarding rule that `packages` (as `cargo metadata`
 /// lists them) break.
 fn forwarding_gaps(packages: &[Value]) -> Vec<String> {
-    let declares = |name: &str, feature: &str| {
+    let declares = |name: &str| {
         packages
             .iter()
-            .any(|p| p.get("name").str() == name && p.get("features").obj().contains_key(feature))
+            .any(|p| p.get("name").str() == name && p.get("features").obj().contains_key(FORWARDED))
     };
     let mut gaps = Vec::new();
     for p in packages {
@@ -52,17 +55,18 @@ fn forwarding_gaps(packages: &[Value]) -> Vec<String> {
             .filter(|d| d.get("kind") == &Value::Null);
         for dep in normal {
             let dep = dep.get("name").str();
-            for &feature in FORWARDED.iter().filter(|&&f| declares(dep, f)) {
-                let entry = format!("{dep}/{feature}");
-                match features.get(feature) {
-                    None => gaps.push(format!(
-                        "{name}: declares no {feature} feature, but its dependency {dep} does"
-                    )),
-                    Some(list) if !list.arr().iter().any(|e| e.str() == entry) => {
-                        gaps.push(format!("{name}: {feature} does not forward {entry}"));
-                    }
-                    Some(_) => {}
+            if !declares(dep) {
+                continue;
+            }
+            let entry = format!("{dep}/{FORWARDED}");
+            match features.get(FORWARDED) {
+                None => gaps.push(format!(
+                    "{name}: declares no {FORWARDED} feature, but its dependency {dep} does"
+                )),
+                Some(list) if !list.arr().iter().any(|e| e.str() == entry) => {
+                    gaps.push(format!("{name}: {FORWARDED} does not forward {entry}"));
                 }
+                Some(_) => {}
             }
         }
     }
@@ -93,9 +97,28 @@ fn every_package_is_a_path_package() {
 }
 
 #[test]
-fn audit_and_trace_reach_every_crate_that_declares_them() {
+fn audit_reaches_every_crate_that_declares_it() {
     let gaps = forwarding_gaps(&workspace_packages());
     assert!(gaps.is_empty(), "{gaps:#?}");
+}
+
+#[test]
+fn every_trace_feature_is_empty() {
+    let packages = workspace_packages();
+    let gated: Vec<&str> = packages
+        .iter()
+        .filter(|p| {
+            p.get("features")
+                .obj()
+                .get("trace")
+                .is_some_and(|list| !list.arr().is_empty())
+        })
+        .map(|p| p.get("name").str())
+        .collect();
+    assert!(
+        gated.is_empty(),
+        "trace features that enable something: {gated:?}"
+    );
 }
 
 #[test]
@@ -116,23 +139,23 @@ fn missing_feature_declaration_is_flagged() {
 fn partial_forwarding_is_flagged() {
     let gaps = gaps_in(
         r#"{"packages": [
-            {"name": "a", "features": {"trace": []}, "dependencies": []},
-            {"name": "b", "features": {"trace": []}, "dependencies": []},
-            {"name": "c", "features": {"trace": ["a/trace"]}, "dependencies": [
+            {"name": "a", "features": {"audit": []}, "dependencies": []},
+            {"name": "b", "features": {"audit": []}, "dependencies": []},
+            {"name": "c", "features": {"audit": ["a/audit"]}, "dependencies": [
                 {"name": "a", "kind": null},
                 {"name": "b", "kind": null}
             ]}
         ]}"#,
     );
-    assert_eq!(gaps, ["c: trace does not forward b/trace"]);
+    assert_eq!(gaps, ["c: audit does not forward b/audit"]);
 }
 
 #[test]
 fn complete_forwarding_is_clean() {
     let gaps = gaps_in(
         r#"{"packages": [
-            {"name": "a", "features": {"audit": [], "trace": []}, "dependencies": []},
-            {"name": "c", "features": {"audit": ["a/audit"], "trace": ["a/trace"]}, "dependencies": [
+            {"name": "a", "features": {"audit": []}, "dependencies": []},
+            {"name": "c", "features": {"audit": ["a/audit"]}, "dependencies": [
                 {"name": "a", "kind": null},
                 {"name": "d", "kind": "dev"}
             ]},

@@ -5,14 +5,15 @@
 //! silently miscounting — the observability layer is a checksum on the
 //! metrics layer and vice versa.
 //!
-//! Run with `--features "trace,audit"` so the release-mode auditor is
-//! active alongside the tracer (CI does; see `scripts/ci.sh`).
+//! Run with `--features audit` so the release-mode auditor is active
+//! alongside the tracer (CI does; see `scripts/ci.sh`).
 
-use netsparse::config::FaultConfig;
+use netsparse::config::{ConcatImpl, FaultConfig};
 use netsparse::prelude::*;
 use netsparse::simulate_traced;
 use netsparse_desim::trace::ReplayCounters;
 use netsparse_desim::TraceConfig;
+use netsparse_snic::vconcat::VirtualCqConfig;
 
 fn topo() -> Topology {
     Topology::LeafSpine {
@@ -31,6 +32,18 @@ fn workload(seed: u64) -> CommWorkload {
         seed,
     }
     .generate()
+}
+
+/// The mini profile with 2% Bernoulli loss and the watchdog armed.
+fn lossy() -> ClusterConfig {
+    let mut cfg = ClusterConfig::mini(topo(), 16);
+    cfg.faults = FaultConfig::builder()
+        .bernoulli_loss(0.02)
+        .watchdog_ns(100_000)
+        .seed(7)
+        .build()
+        .expect("test fault config is valid");
+    cfg
 }
 
 fn traced(cfg: &ClusterConfig, wl: &CommWorkload) -> (SimReport, ReplayCounters) {
@@ -92,28 +105,37 @@ fn fault_free_trace_replays_to_the_report() {
     assert_eq!(c.dropped_loss + c.dropped_dead, 0);
     assert_eq!(c.stale_responses, 0);
     assert_eq!(c.fault_transitions, 0);
-    // Untraced runs of the same workload produce the same metrics: the
-    // tracer observes, never perturbs.
-    let plain = netsparse::simulate(&cfg, &wl);
-    assert_eq!(
-        plain.comm_time, r.comm_time,
-        "tracing changed the simulation"
-    );
-    assert_eq!(plain.events, r.events);
-    assert_eq!(plain.total_link_bytes, r.total_link_bytes);
+}
+
+/// The tracer observes and never perturbs: with its capture cleared, a
+/// traced report prints exactly as the untraced report of the same point
+/// (the audit digest included, in builds that audit).
+#[test]
+fn tracing_never_perturbs_the_report() {
+    let mut reduce = ClusterConfig::mini(topo(), 16);
+    reduce.reduce = ReduceConfig::in_network();
+    reduce.concat_impl = ConcatImpl::Virtual(VirtualCqConfig::paper_sketch());
+    let points = [
+        ("fault-free", ClusterConfig::mini(topo(), 16), 7),
+        ("2% loss with the watchdog", lossy(), 9),
+        ("in-network reduction on virtual CQs", reduce, 7),
+    ];
+    for (name, cfg, seed) in points {
+        let wl = workload(seed);
+        let (mut r, _) = traced(&cfg, &wl);
+        r.trace = None;
+        assert_eq!(
+            format!("{r:?}"),
+            format!("{:?}", netsparse::simulate(&cfg, &wl)),
+            "{name}: tracing changed the report"
+        );
+    }
 }
 
 #[test]
 fn lossy_trace_replays_to_the_fault_report() {
     let wl = workload(9);
-    let mut cfg = ClusterConfig::mini(topo(), 16);
-    cfg.faults = FaultConfig::builder()
-        .bernoulli_loss(0.02)
-        .watchdog_ns(100_000)
-        .seed(7)
-        .build()
-        .expect("test fault config is valid");
-    let (r, c) = traced(&cfg, &wl);
+    let (r, c) = traced(&lossy(), &wl);
     assert!(r.functional_check_passed);
     assert_consistent(&r, &c);
     let fr = r

@@ -3,8 +3,6 @@
 //! account for every captured record. The JSON is re-parsed with the
 //! hand-rolled parser in `netsparse_tests::json` since the workspace
 //! uses no external crates.
-//!
-//! Requires `--features trace`.
 
 use std::collections::{BTreeMap, BTreeSet};
 

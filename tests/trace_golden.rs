@@ -5,8 +5,6 @@
 //! debug and release agree. Any intentional change to event ordering,
 //! timing, or instrumentation must update the constants below *and* say
 //! why in the commit message.
-//!
-//! Requires `--features trace`.
 
 use netsparse::config::{ConcatImpl, ReduceConfig};
 use netsparse::{simulate_traced, ClusterConfig, Mechanisms, ReduceReport, SimReport};
