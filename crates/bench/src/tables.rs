@@ -1462,8 +1462,7 @@ pub fn ext_trace(o: &BenchOpts) -> String {
         "Matrix", "records", "dropped", "digest", "coalesce% (q1..q4)", "cache-hit% (q1..q4)"
     );
     let exps = all_experiments(&o);
-    // The tracer itself is single-threaded (`Rc`-based), but each traced
-    // run owns its tracer, so whole points still fan out cleanly.
+    // Each traced run owns its tracer, so whole points fan out cleanly.
     let rows = SweepRunner::from_opts(&o).map(&exps, |e| {
         let report = e.run_traced(&mini_cfg(k), TraceConfig { capacity: 1 << 22 });
         let tr = report.trace.as_ref().expect("traced run carries a trace");
@@ -1476,9 +1475,13 @@ pub fn ext_trace(o: &BenchOpts) -> String {
             tl.cache_hit_rate.clone(),
         )
     });
-    let pct = |v: &[f64]| {
+    // A window with no sample of a rate prints `-`.
+    let pct = |v: &[Option<f64>]| {
         v.iter()
-            .map(|x| format!("{:>5.1}", x * 100.0))
+            .map(|x| match x {
+                Some(x) => format!("{:>5.1}", x * 100.0),
+                None => format!("{:>5}", "-"),
+            })
             .collect::<Vec<_>>()
             .join(" ")
     };

@@ -168,11 +168,36 @@ impl Fabric {
         *self.net.topology()
     }
 
+    /// Serializes `bytes` onto `link` at `at`, or at `now` if that is
+    /// later, and returns their arrival time at the far end. Traces the
+    /// transmit with the queueing delay it saw: the wire's backlog, read
+    /// before the transmit.
+    fn transmit(
+        &mut self,
+        shared: &mut Shared,
+        now: SimTime,
+        link: LinkId,
+        at: SimTime,
+        bytes: u64,
+    ) -> SimTime {
+        let at = at.max(now);
+        let wire = &mut self.links[link.0 as usize];
+        let backlog_ps = wire.busy_until().saturating_sub(at).as_ps();
+        let arrive = wire.transmit(at, bytes);
+        let tx = TraceEvent::LinkTx {
+            bytes: bytes as u32,
+            backlog_ps,
+        };
+        shared.trace(now, TrackId::link(link.0), tx);
+        arrive
+    }
+
     /// Serializes a batch of packets onto `node`'s uplink and schedules
     /// their arrivals at the node's ToR on the uplink's event-queue lane.
     /// Drains `batch` so the caller can reuse its allocation.
     pub(crate) fn send_batch_from_nic(
         &mut self,
+        shared: &mut Shared,
         node: u32,
         batch: &mut Vec<(SimTime, ConcatPacket)>,
         sched: &mut Scheduler<'_, Event>,
@@ -180,7 +205,7 @@ impl Fabric {
         let (link, sw) = self.from_nic[node as usize];
         let now = sched.now();
         for (at, pkt) in batch.drain(..) {
-            let arrive = self.links[link.0 as usize].transmit(at.max(now), pkt.wire_bytes);
+            let arrive = self.transmit(shared, now, link, at, pkt.wire_bytes);
             let event = Event::PacketAtSwitch {
                 switch: sw,
                 from_nic: true,
@@ -223,10 +248,10 @@ impl Fabric {
         // the watchdog recovers the PRs it carried.
         let route = self.from_switch[sw as usize][pkt.dest as usize];
         let Some((link, to)) = route.filter(|&(link, _)| !self.failures.link_dead(link)) else {
-            shared.drop_dead(sw, &pkt);
+            shared.drop_dead(sched.now(), sw, &pkt);
             return;
         };
-        let arrive = self.links[link.0 as usize].transmit(at.max(sched.now()), pkt.wire_bytes);
+        let arrive = self.transmit(shared, sched.now(), link, at, pkt.wire_bytes);
         let event = match to {
             Element::Switch(next) => Event::PacketAtSwitch {
                 switch: next.0,
@@ -238,8 +263,9 @@ impl Fabric {
         sched.schedule_lane(link.0, arrive, event);
     }
 
-    /// Applies a scheduled failure or repair, then reconverges routing.
-    pub(crate) fn apply_fault(&mut self, shared: &mut Shared, action: FaultAction) {
+    /// Applies a scheduled failure or repair at `now`, then reconverges
+    /// routing.
+    pub(crate) fn apply_fault(&mut self, now: SimTime, shared: &mut Shared, action: FaultAction) {
         match action {
             FaultAction::FailSwitch(s) => self.failures.fail_switch(s),
             FaultAction::RepairSwitch(s) => self.failures.repair_switch(s),
@@ -250,6 +276,7 @@ impl Fabric {
         let failovers_before = shared.faults.route_failovers;
         self.rebuild_routes(shared);
         shared.trace(
+            now,
             TrackId::cluster(),
             TraceEvent::FaultApplied {
                 failovers: (shared.faults.route_failovers - failovers_before) as u32,
@@ -313,6 +340,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use netsparse_netsim::Topology;
+    use netsparse_snic::ConcatConfig;
 
     fn fabric_and_shared() -> (Fabric, Shared) {
         let topo = Topology::LeafSpine {
@@ -342,7 +370,7 @@ mod tests {
         // Leaf-spine with 2 racks of 4: switches 0..2 are ToRs, 2..4 are
         // spines. Kill spine 2; routes must reconverge via spine 3.
         let spine = SwitchId(2);
-        f.apply_fault(&mut shared, FaultAction::FailSwitch(spine));
+        f.apply_fault(SimTime::ZERO, &mut shared, FaultAction::FailSwitch(spine));
         assert_eq!(shared.faults.fault_transitions, 1);
         assert!(shared.faults.route_failovers > 0, "no route changed");
         // Cross-rack routes from ToR 0 must now avoid the dead spine.
@@ -351,7 +379,7 @@ mod tests {
             assert_ne!(to, Element::Switch(spine), "route still uses dead spine");
         }
         // Repair heals the ToR rows back to a total map.
-        f.apply_fault(&mut shared, FaultAction::RepairSwitch(spine));
+        f.apply_fault(SimTime::ZERO, &mut shared, FaultAction::RepairSwitch(spine));
         for sw in 0..2u32 {
             for dst in 0..f.net.nodes() {
                 assert!(f.from_switch[sw as usize][dst as usize].is_some());
@@ -361,8 +389,9 @@ mod tests {
 
     /// A one-PR read packet toward `dest` carrying `idx`.
     fn packet(dest: u32, idx: u32) -> ConcatPacket {
-        ConcatPacket::degraded_singleton(
-            &netsparse_snic::HeaderSpec::paper(),
+        let headers = netsparse_snic::HeaderSpec::paper();
+        let mut point = netsparse_snic::ConcatPoint::dedicated(ConcatConfig::disabled(headers));
+        point.degraded_singleton(
             dest,
             netsparse_snic::PrKind::Read,
             netsparse_snic::Pr {
@@ -381,7 +410,11 @@ mod tests {
     fn unreachable_destination_blackholes_and_counts() {
         let (mut f, mut shared) = fabric_and_shared();
         // Kill node 7's downlink path entirely by failing its ToR.
-        f.apply_fault(&mut shared, FaultAction::FailSwitch(SwitchId(1)));
+        f.apply_fault(
+            SimTime::ZERO,
+            &mut shared,
+            FaultAction::FailSwitch(SwitchId(1)),
+        );
         let dropped_before = shared.faults.dropped_dead;
         let mut queue = netsparse_desim::EventQueue::new();
         let mut sched = netsparse_desim::Scheduler::at(&mut queue, SimTime::ZERO);
@@ -397,7 +430,7 @@ mod tests {
     /// before the second burst's.
     #[test]
     fn uplink_burst_arrives_in_fifo_order() {
-        let (mut f, _) = fabric_and_shared();
+        let (mut f, mut shared) = fabric_and_shared();
         let (uplink, tor) = f.from_nic[0];
         let params = *f.links[uplink.0 as usize].params();
         let ser = params.serialization(packet(5, 0).wire_bytes);
@@ -407,12 +440,12 @@ mod tests {
         let mut sched = netsparse_desim::Scheduler::at(&mut queue, SimTime::ZERO);
         let mut batch: Vec<(SimTime, ConcatPacket)> =
             (0..16).map(|i| (SimTime::ZERO, packet(5, i))).collect();
-        f.send_batch_from_nic(0, &mut batch, &mut sched);
+        f.send_batch_from_nic(&mut shared, 0, &mut batch, &mut sched);
         assert!(batch.is_empty(), "the batch is drained for reuse");
         sched.schedule(arrival(5), Event::HostIssue { node: 5 });
         sched.schedule(arrival(20), Event::HostIssue { node: 20 });
         batch.extend((16..32).map(|i| (SimTime::ZERO, packet(5, i))));
-        f.send_batch_from_nic(0, &mut batch, &mut sched);
+        f.send_batch_from_nic(&mut shared, 0, &mut batch, &mut sched);
         assert_eq!(queue.len(), 34);
 
         let mut order = Vec::new();

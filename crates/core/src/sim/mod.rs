@@ -44,6 +44,10 @@
 //!   event loop behind [`simulate`] and [`simulate_traced`], with
 //!   auditing (debug and `audit` builds) and tracing (every build,
 //!   recording only when a tracer is attached) injected as hooks.
+//!
+//! No component holds a tracer: the node, rack and fabric handlers make
+//! every trace record from what their component calls return (see
+//! `driver`), so every component is `Send`.
 
 // Event-path rules (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::redundant_clone)]

@@ -11,7 +11,10 @@
 //!
 //! All handlers touch only this node's state plus the shared context
 //! ([`Ctx`]): the fabric for egress, the scheduler for follow-up events,
-//! and the shared counters/auditor/tracer.
+//! and the shared counters/auditor/tracer. The handlers make this node's
+//! trace records: command issue and completion, each RIG decision from
+//! its [`IdxOutcome`], each concatenation flush from the packet's seal
+//! reason, and each response and watchdog restart.
 
 use std::collections::VecDeque;
 
@@ -19,13 +22,12 @@ use netsparse_desim::trace::{lane, TraceEvent, TrackId};
 use netsparse_desim::{Scheduler, SimTime};
 use netsparse_snic::protocol::partial_contrib_value;
 use netsparse_snic::{
-    ConcatConfig, ConcatPacket, ConcatPoint, HeaderSpec, IdxFilter, IdxOutcome, Pr, PrKind,
-    RigClient,
+    ConcatConfig, ConcatPacket, ConcatPoint, IdxFilter, IdxOutcome, Pr, PrKind, RigClient,
 };
 use netsparse_sparse::CommWorkload;
 
 use crate::config::{ClusterConfig, ConcatImpl};
-use crate::sim::driver::Ctx;
+use crate::sim::driver::{Ctx, Shared};
 use crate::sim::events::Event;
 
 /// Instantiates a concatenation point for the configured implementation.
@@ -36,27 +38,39 @@ pub(crate) fn concat_point(cfg: ConcatConfig, implementation: ConcatImpl) -> Con
     }
 }
 
-/// A NIC's send path during one event: PRs enter its concatenation point,
-/// or, when `degraded` (§7.1), each leaves alone in a singleton packet
-/// that switches forward verbatim, never concatenated or cached.
+/// A NIC's send path during the event at `now`: PRs enter its
+/// concatenation point, whose flushes are traced on `track`, or, when
+/// `degraded` (§7.1), each leaves alone in a singleton packet that
+/// switches forward verbatim, never concatenated, cached or traced.
 struct Egress<'a> {
     concat: &'a mut ConcatPoint,
     out: &'a mut Vec<(SimTime, ConcatPacket)>,
-    headers: HeaderSpec,
+    now: SimTime,
+    track: TrackId,
     degraded: bool,
 }
 
 impl Egress<'_> {
     /// Sends `pr` of `kind`, carrying `payload` bytes, toward `dest` at `t`.
     #[inline]
-    fn send(&mut self, t: SimTime, dest: u32, kind: PrKind, pr: Pr, payload: u32) {
-        let out = &mut *self.out;
+    fn send(
+        &mut self,
+        shared: &mut Shared,
+        t: SimTime,
+        dest: u32,
+        kind: PrKind,
+        pr: Pr,
+        payload: u32,
+    ) {
         if self.degraded {
-            let pkt = ConcatPacket::degraded_singleton(&self.headers, dest, kind, pr, payload);
-            out.push((t, pkt));
+            let pkt = self.concat.degraded_singleton(dest, kind, pr, payload);
+            self.out.push((t, pkt));
         } else {
-            self.concat
-                .push_with(t, dest, kind, pr, payload, |p| out.push((t, p)));
+            let (now, track, out) = (self.now, self.track, &mut *self.out);
+            self.concat.push_with(t, dest, kind, pr, payload, |p| {
+                shared.trace_flush(now, track, &p);
+                out.push((t, p));
+            });
         }
     }
 }
@@ -313,15 +327,26 @@ impl NodeState {
         }
     }
 
+    /// Hands the output batch to the uplink, returns the buffer to the
+    /// pool and re-arms the concatenator's expiry.
+    fn send_out(&mut self, mut out: Vec<(SimTime, ConcatPacket)>, ctx: &mut Ctx<'_, '_, '_>) {
+        ctx.fabric
+            .send_batch_from_nic(ctx.shared, self.id, &mut out, ctx.sched);
+        self.out_buf = out;
+        self.arm_concat(ctx.sched);
+    }
+
     /// Flushes expired NIC concatenation queues onto the uplink through
     /// the pooled output buffer.
     pub(crate) fn concat_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         self.concat_sched = None;
         let mut out = std::mem::take(&mut self.out_buf);
-        self.concat.flush_expired_with(now, |p| out.push((now, p)));
-        ctx.fabric.send_batch_from_nic(self.id, &mut out, ctx.sched);
-        self.out_buf = out;
-        self.arm_concat(ctx.sched);
+        let track = TrackId::node(self.id, lane::CONCAT);
+        self.concat.flush_expired_with(now, |p| {
+            ctx.shared.trace_flush(now, track, &p);
+            out.push((now, p));
+        });
+        self.send_out(out, ctx);
     }
 
     /// The host core issues the next RIG command to a free client unit.
@@ -349,6 +374,7 @@ impl NodeState {
         self.stream_pos = end;
         self.active_cmds += 1;
         ctx.shared.trace(
+            now,
             TrackId::node(self.id, lane::HOST),
             TraceEvent::CmdIssued {
                 unit: unit_id as u16,
@@ -425,9 +451,11 @@ impl NodeState {
             let mut nic = Egress {
                 concat,
                 out: &mut out,
-                headers: cfg.headers,
+                now,
+                track: TrackId::node(id, lane::CONCAT),
                 degraded: degraded_mode,
             };
+            let rig = TrackId::node(id, lane::RIG_BASE + u32::from(unit_id));
             let unit = &mut units[unit_id as usize];
             let Some((_, end)) = unit.cmd else {
                 return; // spurious wakeup after completion
@@ -464,19 +492,21 @@ impl NodeState {
                     filter,
                 ) {
                     IdxOutcome::Stalled => {
+                        let outstanding = unit.rig.outstanding() as u32;
+                        ctx.shared
+                            .trace(now, rig, TraceEvent::Stalled { outstanding });
                         unit.state = UnitState::Stalled;
                         break;
                     }
                     IdxOutcome::Issued(pr) => {
-                        cycles += 1;
-                        processed += 1;
-                        unit.pos += 1;
-                        let t_pr = now + cycle * cycles;
+                        ctx.shared.trace(now, rig, TraceEvent::PrIssued { idx });
+                        // The PR leaves at the end of this idx's cycle.
+                        let t_pr = now + cycle * (cycles + 1);
                         #[cfg(any(debug_assertions, feature = "audit"))]
                         ctx.shared.audit.issue("pr");
                         issue_times.record(unit_id, pr.req_id, t_pr);
                         let dest = partition.owner(idx);
-                        nic.send(t_pr, dest, PrKind::Read, pr, 0);
+                        nic.send(ctx.shared, t_pr, dest, PrKind::Read, pr, 0);
                         if degraded_mode {
                             degraded_sent += 1;
                         }
@@ -488,15 +518,21 @@ impl NodeState {
                             ctx.shared.reduce.contribs_issued += 1;
                             ctx.shared.reduce.value_issued =
                                 ctx.shared.reduce.value_issued.wrapping_add(v);
-                            nic.send(t_pr, dest, PrKind::Partial, contrib, payload);
+                            nic.send(ctx.shared, t_pr, dest, PrKind::Partial, contrib, payload);
                         }
                     }
-                    IdxOutcome::Local | IdxOutcome::Filtered | IdxOutcome::Coalesced => {
-                        cycles += 1;
-                        processed += 1;
-                        unit.pos += 1;
+                    IdxOutcome::Filtered => {
+                        ctx.shared.trace(now, rig, TraceEvent::FilterHit { idx });
                     }
+                    IdxOutcome::Coalesced => {
+                        ctx.shared.trace(now, rig, TraceEvent::Coalesced { idx });
+                    }
+                    IdxOutcome::Local => {}
                 }
+                // Every decision but a stall spends this idx's cycle.
+                cycles += 1;
+                processed += 1;
+                unit.pos += 1;
             }
             let t_end = now + cycle * cycles.max(1);
             if unit.state == UnitState::Stalled {
@@ -519,9 +555,7 @@ impl NodeState {
         }
 
         ctx.shared.faults.degraded_prs += degraded_sent;
-        ctx.fabric.send_batch_from_nic(self.id, &mut out, ctx.sched);
-        self.out_buf = out;
-        self.arm_concat(ctx.sched);
+        self.send_out(out, ctx);
         if command_done {
             self.complete_command(now, unit_id, ctx);
         }
@@ -543,6 +577,7 @@ impl NodeState {
         unit.cmd_retries = 0;
         self.active_cmds -= 1;
         ctx.shared.trace(
+            now,
             TrackId::node(self.id, lane::HOST),
             TraceEvent::CmdCompleted { unit: unit_id },
         );
@@ -601,18 +636,18 @@ impl NodeState {
         let mut nic = Egress {
             concat: &mut self.concat,
             out: &mut out,
-            headers: ctx.cfg.headers,
+            now,
+            track: TrackId::node(self.id, lane::CONCAT),
             degraded: pkt.degraded,
         };
         for &pr in &pkt.prs {
             let t = self.server_busy.max(now) + self.serve;
             self.server_busy = t;
-            nic.send(t + pcie_lat, pr.src_node, PrKind::Response, pr, payload);
+            let t = t + pcie_lat;
+            nic.send(ctx.shared, t, pr.src_node, PrKind::Response, pr, payload);
         }
         self.concat.recycle(pkt.prs);
-        ctx.fabric.send_batch_from_nic(self.id, &mut out, ctx.sched);
-        self.out_buf = out;
-        self.arm_concat(ctx.sched);
+        self.send_out(out, ctx);
     }
 
     /// Client path: deliver arrived properties, clear pending entries, set
@@ -631,25 +666,22 @@ impl NodeState {
                     issue_times,
                     ..
                 } = self;
+                let rig = TrackId::node(id, lane::RIG_BASE + u32::from(pr.src_tid));
                 if let Some(t_issue) = issue_times.resolve(pr.src_tid, pr.req_id) {
                     ctx.shared
                         .pr_latency
                         .record(now.saturating_sub(t_issue).as_ps());
                     #[cfg(any(debug_assertions, feature = "audit"))]
                     ctx.shared.audit.resolve("pr");
-                    ctx.shared.trace(
-                        TrackId::node(id, lane::RIG_BASE + pr.src_tid as u32),
-                        TraceEvent::PrResolved { idx: pr.idx },
-                    );
+                    ctx.shared
+                        .trace(now, rig, TraceEvent::PrResolved { idx: pr.idx });
                 } else {
                     // The watchdog already abandoned this PR (its ledger
                     // entry is closed); the data is still good, so deliver
                     // it, but don't resolve or time it.
                     ctx.shared.faults.stale_responses += 1;
-                    ctx.shared.trace(
-                        TrackId::node(id, lane::RIG_BASE + pr.src_tid as u32),
-                        TraceEvent::StaleResponse { idx: pr.idx },
-                    );
+                    ctx.shared
+                        .trace(now, rig, TraceEvent::StaleResponse { idx: pr.idx });
                 }
                 if filter.contains(pr.idx) {
                     self.dup_responses += 1;
@@ -747,6 +779,7 @@ impl NodeState {
         #[cfg(any(debug_assertions, feature = "audit"))]
         ctx.shared.audit.abandon_n("pr", n_stale);
         ctx.shared.trace(
+            now,
             TrackId::node(self.id, lane::RIG_BASE + unit_id as u32),
             TraceEvent::WatchdogRetry {
                 retry: cmd_retries,
@@ -1008,8 +1041,7 @@ mod tests {
                         outbound.extend(pkt.prs.iter().copied());
                         // Answer every read with an immediate response packet.
                         for pr in pkt.prs {
-                            let resp = ConcatPacket::degraded_singleton(
-                                &cfg.headers,
+                            let resp = node.concat.degraded_singleton(
                                 pr.src_node,
                                 PrKind::Response,
                                 pr,

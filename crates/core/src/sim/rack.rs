@@ -10,13 +10,16 @@
 //! mechanisms are off) forward packets verbatim through the
 //! [`Fabric`](super::fabric::Fabric). Ingress fault handling — dead-switch
 //! blackholing and the configured loss process — also happens here,
-//! before any processing, exactly once per traversal.
+//! before any processing, exactly once per traversal. The handlers make
+//! this switch's trace records: drops, each cache probe from its result
+//! and each fill from its [`Insertion`], and each concatenation flush
+//! from the packet's seal reason.
 
 use netsparse_desim::trace::{lane, DropReason, TraceEvent, TrackId};
 use netsparse_desim::{Scheduler, SimTime};
 use netsparse_netsim::SwitchId;
 use netsparse_snic::{ConcatConfig, ConcatPacket, ConcatPoint, PrKind};
-use netsparse_switch::{MiddlePipes, ReduceTable};
+use netsparse_switch::{Insertion, MiddlePipes, ReduceTable};
 
 use crate::config::ClusterConfig;
 use crate::sim::driver::Ctx;
@@ -127,7 +130,11 @@ impl RackState {
     pub(crate) fn concat_expire(&mut self, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         self.concat_sched = None;
         let mut out = std::mem::take(&mut self.out_buf);
-        self.concat.flush_expired_with(now, |p| out.push((now, p)));
+        let track = TrackId::switch(self.id, lane::CONCAT);
+        self.concat.flush_expired_with(now, |p| {
+            ctx.shared.trace_flush(now, track, &p);
+            out.push((now, p));
+        });
         self.send_out(out, ctx);
     }
 
@@ -140,8 +147,10 @@ impl RackState {
         let mut out = std::mem::take(&mut self.out_buf);
         if let Some(table) = &mut self.reduce {
             let concat = &mut self.concat;
+            let track = TrackId::switch(self.id, lane::CONCAT);
             table.flush_expired_with(now, |root, pr| {
                 concat.push_with(now, root, PrKind::Partial, pr, payload, |p| {
+                    ctx.shared.trace_flush(now, track, &p);
                     out.push((now, p));
                 });
             });
@@ -165,12 +174,13 @@ impl RackState {
         // process (Bernoulli or Gilbert–Elliott bursts) per traversal.
         // Detection/recovery is the RIG watchdog.
         if ctx.fabric.failures.switch_dead(SwitchId(sw)) {
-            ctx.shared.drop_dead(sw, &pkt);
+            ctx.shared.drop_dead(now, sw, &pkt);
             return;
         }
         if ctx.shared.loss_active && ctx.shared.loss.drop_packet() {
             ctx.shared.account_partial_drop(&pkt);
             ctx.shared.trace(
+                now,
                 TrackId::switch(sw, lane::FAULT),
                 TraceEvent::PacketDropped {
                     reason: DropReason::Loss,
@@ -179,47 +189,70 @@ impl RackState {
             );
             return; // counted by the loss process, surfaced in FaultReport
         }
-        let t = now + ctx.shared.switch_lat;
         let topo = ctx.fabric.topology();
         let process =
             !pkt.degraded && self.netsparse && (from_nic || topo.edge_switch_of(pkt.dest).0 == sw);
         if process {
-            self.middle_pipes(t, pkt, ctx);
+            self.middle_pipes(now, pkt, ctx);
         } else {
+            let t = now + ctx.shared.switch_lat;
             ctx.fabric
                 .send_from_switch(ctx.shared, sw, t, pkt, ctx.sched);
         }
     }
 
-    /// The processing path: deconcatenates `pkt` and runs each PR through
-    /// the middle pipes in their fixed order: Property Cache probe or
-    /// fill, reduce fold, concatenation. A probe, a fill and a fold each
-    /// cost `cache_lat`; concatenation is free.
-    fn middle_pipes(&mut self, t: SimTime, pkt: ConcatPacket, ctx: &mut Ctx<'_, '_, '_>) {
+    /// The processing path of a packet that reached this switch at `now`:
+    /// deconcatenates `pkt` and, once the traversal latency has passed,
+    /// runs each PR through the middle pipes in their fixed order:
+    /// Property Cache probe or fill, reduce fold, concatenation. A probe,
+    /// a fill and a fold each cost `cache_lat`; concatenation is free.
+    fn middle_pipes(&mut self, now: SimTime, pkt: ConcatPacket, ctx: &mut Ctx<'_, '_, '_>) {
+        let traversed = now + ctx.shared.switch_lat;
         let topo = ctx.fabric.topology();
         let partition = ctx.wl.partition();
         let payload = ctx.shared.payload;
+        let cache_track = TrackId::switch(self.id, lane::CACHE);
+        let concat_track = TrackId::switch(self.id, lane::CONCAT);
         let mut out = std::mem::take(&mut self.out_buf);
         for &pr in &pkt.prs {
-            let (mut t, mut dest, mut kind) = (t, pkt.dest, pkt.kind);
+            let (mut t, mut dest, mut kind) = (traversed, pkt.dest, pkt.kind);
+            let idx = pr.idx;
             // Only properties homed outside this rack are cached: rack-local
-            // traffic never crosses this switch twice.
+            // traffic never crosses this switch twice. A cache too small to
+            // form a set has no bank, so it probes nothing.
             match kind {
                 PrKind::Read => {
                     if let Some(cache) = &mut self.cache {
                         t += self.cache_lat;
-                        if topo.edge_switch_of(dest).0 != self.id && cache.lookup(dest, pr.idx) {
-                            // Hit: the read becomes a response to its source.
-                            (dest, kind) = (pr.src_node, PrKind::Response);
+                        if cache.enabled() && topo.edge_switch_of(dest).0 != self.id {
+                            let hit = cache.lookup(dest, idx);
+                            let probe = if hit {
+                                TraceEvent::CacheHit { idx }
+                            } else {
+                                TraceEvent::CacheMiss { idx }
+                            };
+                            ctx.shared.trace(now, cache_track, probe);
+                            if hit {
+                                // The read becomes a response to its source.
+                                (dest, kind) = (pr.src_node, PrKind::Response);
+                            }
                         }
                     }
                 }
                 PrKind::Response => {
                     if let Some(cache) = &mut self.cache {
                         t += self.cache_lat;
-                        let home = partition.owner(pr.idx);
+                        let home = partition.owner(idx);
                         if topo.edge_switch_of(home).0 != self.id {
-                            cache.insert(home, pr.idx);
+                            let insertion = cache.insert(home, idx);
+                            if let Insertion::Evicted(victim) = insertion {
+                                let evict = TraceEvent::CacheEvict { idx: victim };
+                                ctx.shared.trace(now, cache_track, evict);
+                            }
+                            if insertion != Insertion::Unchanged {
+                                let fill = TraceEvent::CacheInsert { idx };
+                                ctx.shared.trace(now, cache_track, fill);
+                            }
                         }
                     }
                 }
@@ -235,8 +268,10 @@ impl RackState {
             }
             // A read carries no property; a response or a partial one.
             let bytes = if kind == PrKind::Read { 0 } else { payload };
-            self.concat
-                .push_with(t, dest, kind, pr, bytes, |p| out.push((t, p)));
+            self.concat.push_with(t, dest, kind, pr, bytes, |p| {
+                ctx.shared.trace_flush(now, concat_track, &p);
+                out.push((t, p));
+            });
         }
         self.concat.recycle(pkt.prs);
         self.send_out(out, ctx);
@@ -250,7 +285,7 @@ mod tests {
     use crate::config::ReduceConfig;
     use crate::sim::driver::Shared;
     use crate::sim::fabric::Fabric;
-    use netsparse_desim::EventQueue;
+    use netsparse_desim::{EventQueue, TraceConfig};
     use netsparse_netsim::Topology;
     use netsparse_snic::protocol::partial_contrib_value;
     use netsparse_snic::Pr;
@@ -275,6 +310,22 @@ mod tests {
             src_tid: 0,
             idx,
             req_id: 1,
+        }
+    }
+
+    /// `pr` alone in a packet from `rack`'s spare buffers: a degraded
+    /// singleton with its flag cleared, since switches forward degraded
+    /// packets verbatim and these must take the processing path.
+    fn singleton(
+        rack: &mut RackState,
+        dest: u32,
+        kind: PrKind,
+        pr: Pr,
+        payload: u32,
+    ) -> ConcatPacket {
+        ConcatPacket {
+            degraded: false,
+            ..rack.concat.degraded_singleton(dest, kind, pr, payload)
         }
     }
 
@@ -307,19 +358,7 @@ mod tests {
             };
             // A response for idx 64 headed back to requester 0 crosses
             // ToR 0 and fills the cache line for home 4.
-            let resp = ConcatPacket::degraded_singleton(
-                &cfg.headers,
-                0,
-                PrKind::Response,
-                pr(idx),
-                cfg.payload_bytes(),
-            );
-            // Force it through the processing path (degraded packets skip
-            // it by design).
-            let resp = ConcatPacket {
-                degraded: false,
-                ..resp
-            };
+            let resp = singleton(tor, 0, PrKind::Response, pr(idx), cfg.payload_bytes());
             tor.packet_at_switch(SimTime::ZERO, false, resp, &mut ctx);
             assert_eq!(
                 tor.cache.as_ref().unwrap().stats().insertions,
@@ -328,11 +367,7 @@ mod tests {
             );
 
             // A read for the same idx entering from a local NIC now hits.
-            let read = ConcatPacket::degraded_singleton(&cfg.headers, 4, PrKind::Read, pr(idx), 0);
-            let read = ConcatPacket {
-                degraded: false,
-                ..read
-            };
+            let read = singleton(tor, 4, PrKind::Read, pr(idx), 0);
             tor.packet_at_switch(SimTime::ZERO, true, read, &mut ctx);
             let stats = tor.cache.as_ref().unwrap().stats();
             assert_eq!(stats.lookups, 1);
@@ -370,28 +405,14 @@ mod tests {
         };
         // A response for idx 64 (home node 4, rack 1) back to requester 0
         // fills the cache.
-        let resp = ConcatPacket::degraded_singleton(
-            &cfg.headers,
-            0,
-            PrKind::Response,
-            pr(64),
-            cfg.payload_bytes(),
-        );
-        let resp = ConcatPacket {
-            degraded: false,
-            ..resp
-        };
+        let resp = singleton(tor, 0, PrKind::Response, pr(64), cfg.payload_bytes());
         tor.packet_at_switch(SimTime::ZERO, false, resp, &mut ctx);
         assert_eq!(tor.cache.as_ref().unwrap().stats().insertions, 1);
         assert_eq!(tor.concat.next_expiry(), Some(expiry));
         assert_eq!(tor.concat.flush_all().len(), 1);
 
         // A read for the same idx from a local NIC toward the home hits.
-        let read = ConcatPacket::degraded_singleton(&cfg.headers, 4, PrKind::Read, pr(64), 0);
-        let read = ConcatPacket {
-            degraded: false,
-            ..read
-        };
+        let read = singleton(tor, 4, PrKind::Read, pr(64), 0);
         tor.packet_at_switch(SimTime::ZERO, true, read, &mut ctx);
         let stats = tor.cache.as_ref().unwrap().stats();
         assert_eq!((stats.lookups, stats.hits), (1, 1));
@@ -427,11 +448,7 @@ mod tests {
                 shared: &mut shared,
                 sched: &mut sched,
             };
-            let read = ConcatPacket::degraded_singleton(&cfg.headers, 4, PrKind::Read, pr(64), 0);
-            let read = ConcatPacket {
-                degraded: false,
-                ..read
-            };
+            let read = singleton(spine, 4, PrKind::Read, pr(64), 0);
             spine.packet_at_switch(SimTime::ZERO, false, read, &mut ctx);
         }
         assert!(spine.cache.is_none());
@@ -468,17 +485,7 @@ mod tests {
             };
             for src in 0..2u32 {
                 let p = Pr::partial(src, 64, 1, partial_contrib_value(src, 64));
-                let pkt = ConcatPacket::degraded_singleton(
-                    &cfg.headers,
-                    root,
-                    PrKind::Partial,
-                    p,
-                    cfg.payload_bytes(),
-                );
-                let pkt = ConcatPacket {
-                    degraded: false,
-                    ..pkt
-                };
+                let pkt = singleton(tor, root, PrKind::Partial, p, cfg.payload_bytes());
                 tor.packet_at_switch(SimTime::ZERO, true, pkt, &mut ctx);
             }
             let stats = tor.reduce.as_ref().unwrap().stats();
@@ -539,17 +546,7 @@ mod tests {
         };
         for src in 0..3u32 {
             let p = Pr::partial(src, 70, 1, partial_contrib_value(src, 70));
-            let pkt = ConcatPacket::degraded_singleton(
-                &cfg.headers,
-                root,
-                PrKind::Partial,
-                p,
-                cfg.payload_bytes(),
-            );
-            let pkt = ConcatPacket {
-                degraded: false,
-                ..pkt
-            };
+            let pkt = singleton(tor, root, PrKind::Partial, p, cfg.payload_bytes());
             tor.packet_at_switch(SimTime::ZERO, true, pkt, &mut ctx);
         }
         assert_eq!(tor.concat.queued_prs(), 0, "absorbed partials emit nothing");
@@ -608,11 +605,7 @@ mod tests {
             PrKind::Partial => Pr::partial(0, 64, 1, partial_contrib_value(0, 64)),
             _ => pr(64),
         };
-        let pkt = ConcatPacket::degraded_singleton(&cfg.headers, 4, kind, p, cfg.payload_bytes());
-        let pkt = ConcatPacket {
-            degraded: false,
-            ..pkt
-        };
+        let pkt = singleton(tor, 4, kind, p, cfg.payload_bytes());
         tor.packet_at_switch(SimTime::ZERO, true, pkt, &mut ctx);
         assert_eq!(tor.concat.queued_prs(), 1, "the PR must reach concat");
         tor.concat.next_expiry().unwrap() - cfg.switch_latency() - cfg.switch_concat_delay()
@@ -641,5 +634,41 @@ mod tests {
             ..ReduceConfig::in_network()
         };
         assert_eq!(middle_pipe_cost(&cfg, PrKind::Partial), lat);
+    }
+
+    /// A Property Cache too small to form one set probes and fills
+    /// nothing, so a traced run records no cache event; with the default
+    /// cache the same run records probes and fills.
+    #[test]
+    fn a_cache_too_small_for_one_set_traces_no_cache_event() {
+        let part = Partition1D::even(8 * 16, 8);
+        let mut streams: Vec<Vec<u32>> = vec![vec![]; 8];
+        // Nodes 0 and 1 (rack 0) read node 4's properties (rack 1).
+        streams[0] = vec![64, 65, 64, 66];
+        streams[1] = vec![65, 64];
+        let wl = CommWorkload::from_streams(part, vec![16; 8], streams);
+        let cache_events = |capacity_bytes| {
+            let mut cfg = ClusterConfig::mini(topo(), 16);
+            if let Some(bytes) = capacity_bytes {
+                cfg.switch.cache.capacity_bytes = bytes;
+            }
+            let r = crate::simulate_traced(&cfg, &wl, TraceConfig::default());
+            assert!(r.functional_check_passed);
+            let trace = r.trace.expect("traced run carries a trace");
+            let names: Vec<&str> = trace
+                .buffer
+                .records()
+                .iter()
+                .map(|r| r.event.name())
+                .collect();
+            let count = |name| names.iter().filter(|&&n| n == name).count();
+            [
+                count("cache_hit") + count("cache_miss"),
+                count("cache_insert"),
+            ]
+        };
+        assert_eq!(cache_events(Some(64)), [0, 0]);
+        let [probes, fills] = cache_events(None);
+        assert!(probes > 0 && fills > 0, "{probes} probes, {fills} fills");
     }
 }

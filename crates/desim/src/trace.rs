@@ -10,12 +10,13 @@
 //! so tracing a multi-minute run cannot exhaust memory.
 //!
 //! Tracing is compiled into every build and off until a tracer is
-//! attached: each instrumented component holds an `Option<Tracer>`, so a
-//! run without one pays a single not-taken branch per call site. A run is
-//! traced exactly when its caller attaches a tracer (`simulate_traced` in
-//! the `netsparse` crate). [`Tracer::record`] is `#[cold]` and
-//! `#[inline(never)]`, which keeps the record path out of the event
-//! handlers' hot loops.
+//! attached. A run is traced exactly when its caller attaches one
+//! (`simulate_traced` in the `netsparse` crate): the driver then owns it
+//! as an `Option<Tracer>` and makes every record in its event handlers,
+//! from what each component call returns. Components hold no tracer, so
+//! a run without one pays a single not-taken branch per record site.
+//! [`Tracer::record`] is `#[cold]` and `#[inline(never)]`, which keeps
+//! the record path out of the event handlers' hot loops.
 //!
 //! Three consumers read the buffer back (see `docs/OBSERVABILITY.md`):
 //!
@@ -27,9 +28,7 @@
 //!   marks, and [`ReplayCounters::replay`] reconstructs the aggregate
 //!   counters — the double-entry bookkeeping check against `SimReport`.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use crate::time::SimTime;
 
@@ -563,19 +562,13 @@ impl TraceBuffer {
     }
 }
 
-#[derive(Debug)]
-struct TracerState {
-    now: SimTime,
-    buf: TraceBuffer,
-}
-
-/// A shared handle to the trace buffer, cloned into every instrumented
-/// component (single-threaded simulation, so `Rc<RefCell<..>>`).
+/// The recording end of a trace: a [`TraceBuffer`] that stamps each
+/// record with the event time its caller passes.
 ///
-/// The event loop calls [`Tracer::set_now`] once per delivered event;
-/// components then call [`Tracer::record`] without needing a clock of
-/// their own — every record is stamped with the engine's current event
-/// time, so the stream is monotone non-decreasing by construction.
+/// The simulation driver owns the one tracer of a run and makes every
+/// record from its event handlers, each stamped with the time of the
+/// event being handled, so the stream is monotone non-decreasing by
+/// construction. Components never see it.
 ///
 /// # Example
 ///
@@ -583,65 +576,40 @@ struct TracerState {
 /// use netsparse_desim::trace::{lane, TraceConfig, TraceEvent, Tracer, TrackId};
 /// use netsparse_desim::SimTime;
 ///
-/// let tracer = Tracer::new(TraceConfig { capacity: 16 });
-/// tracer.set_now(SimTime::from_ns(5));
-/// tracer.record(TrackId::node(0, lane::HOST), TraceEvent::CmdIssued { unit: 0, idxs: 64 });
-/// let buf = tracer.take();
+/// let mut tracer = Tracer::new(TraceConfig { capacity: 16 });
+/// let track = TrackId::node(0, lane::HOST);
+/// tracer.record(SimTime::from_ns(5), track, TraceEvent::CmdIssued { unit: 0, idxs: 64 });
+/// let buf = tracer.into_buffer();
 /// assert_eq!(buf.len(), 1);
 /// assert_eq!(buf.records()[0].time, SimTime::from_ns(5));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tracer {
-    state: Rc<RefCell<TracerState>>,
+    buf: TraceBuffer,
 }
 
 impl Tracer {
     /// Creates a tracer with an empty buffer.
     pub fn new(cfg: TraceConfig) -> Self {
         Tracer {
-            state: Rc::new(RefCell::new(TracerState {
-                now: SimTime::ZERO,
-                buf: TraceBuffer::new(cfg.capacity),
-            })),
+            buf: TraceBuffer::new(cfg.capacity),
         }
     }
 
-    /// Advances the stamp clock to the engine's current event time.
-    #[inline]
-    pub fn set_now(&self, now: SimTime) {
-        self.state.borrow_mut().now = now;
-    }
-
-    /// The current stamp clock.
-    pub fn now(&self) -> SimTime {
-        self.state.borrow().now
-    }
-
-    /// Records `event` on `track`, stamped with the current event time.
+    /// Records `event` on `track`, stamped `time`.
     ///
     /// Cold and never inlined: its callers sit in the event handlers'
     /// hot paths behind an `if let Some(tracer)`, and an inlined body
     /// there costs untraced runs about 3% (see docs/OBSERVABILITY.md).
     #[cold]
     #[inline(never)]
-    pub fn record(&self, track: TrackId, event: TraceEvent) {
-        let mut st = self.state.borrow_mut();
-        let time = st.now;
-        st.buf.record(TraceRecord { time, track, event });
+    pub fn record(&mut self, time: SimTime, track: TrackId, event: TraceEvent) {
+        self.buf.record(TraceRecord { time, track, event });
     }
 
-    /// Records buffered so far (buffered + dropped = offered).
-    pub fn offered(&self) -> u64 {
-        self.state.borrow().buf.offered()
-    }
-
-    /// Takes the buffer out of the tracer, leaving an empty one of the
-    /// same capacity behind (other clones keep recording into the empty
-    /// buffer; call at end of run).
-    pub fn take(&self) -> TraceBuffer {
-        let mut st = self.state.borrow_mut();
-        let cap = st.buf.capacity;
-        std::mem::replace(&mut st.buf, TraceBuffer::new(cap))
+    /// The buffer of everything recorded (call at end of run).
+    pub fn into_buffer(self) -> TraceBuffer {
+        self.buf
     }
 }
 
@@ -751,14 +719,16 @@ pub struct TimelineMetrics {
     pub windows: usize,
     /// Window width in picoseconds.
     pub window_ps: u64,
-    /// Per-window Property-Cache hit rate (`NaN`-free: windows without
-    /// lookups report 0).
-    pub cache_hit_rate: Vec<f64>,
+    /// Per-window Property-Cache hit rate (`None`: no lookup in the
+    /// window).
+    pub cache_hit_rate: Vec<Option<f64>>,
     /// Per-window fraction of remote references eliminated by filtering +
-    /// coalescing (`(filter_hit + coalesced) / (… + pr_issued)`).
-    pub coalescing_ratio: Vec<f64>,
-    /// Per-window mean PRs per concatenator flush (0 when no flushes).
-    pub flush_prs_mean: Vec<f64>,
+    /// coalescing (`(filter_hit + coalesced) / (… + pr_issued)`; `None`:
+    /// no RIG decision in the window).
+    pub coalescing_ratio: Vec<Option<f64>>,
+    /// Per-window mean PRs per concatenator flush (`None`: no flush in
+    /// the window).
+    pub flush_prs_mean: Vec<Option<f64>>,
     /// Worst link output-queue delay observed, in picoseconds.
     pub link_backlog_high_water_ps: u64,
     /// Largest PR count in any single concatenator flush.
@@ -814,10 +784,10 @@ impl TimelineMetrics {
                 _ => {}
             }
         }
-        let ratio = |num: &[u64], den: &[u64]| -> Vec<f64> {
+        let ratio = |num: &[u64], den: &[u64]| -> Vec<Option<f64>> {
             num.iter()
                 .zip(den)
-                .map(|(&n, &d)| if d == 0 { 0.0 } else { n as f64 / d as f64 })
+                .map(|(&n, &d)| (d > 0).then(|| n as f64 / d as f64))
                 .collect()
         };
         TimelineMetrics {
@@ -849,8 +819,8 @@ pub struct TraceReport {
 impl TraceReport {
     /// Builds the report from a finished tracer, deriving `windows`
     /// timeline windows.
-    pub fn from_tracer(tracer: &Tracer, windows: usize) -> Self {
-        let buffer = tracer.take();
+    pub fn from_tracer(tracer: Tracer, windows: usize) -> Self {
+        let buffer = tracer.into_buffer();
         let timeline = TimelineMetrics::derive(&buffer, windows);
         let digest = buffer.digest();
         TraceReport {
@@ -917,23 +887,17 @@ mod tests {
 
     #[test]
     fn tracer_stamps_engine_time() {
-        let tr = Tracer::new(TraceConfig { capacity: 8 });
-        tr.set_now(SimTime::from_ns(3));
+        let mut tr = Tracer::new(TraceConfig { capacity: 1 });
+        let track = TrackId::node(1, lane::RIG_BASE);
+        tr.record(SimTime::from_ns(3), track, TraceEvent::PrIssued { idx: 7 });
         tr.record(
-            TrackId::node(1, lane::RIG_BASE),
-            TraceEvent::PrIssued { idx: 7 },
-        );
-        let clone = tr.clone();
-        clone.set_now(SimTime::from_ns(4));
-        clone.record(
-            TrackId::node(1, lane::RIG_BASE),
+            SimTime::from_ns(4),
+            track,
             TraceEvent::PrResolved { idx: 7 },
         );
-        let buf = tr.take();
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf.records()[1].time, SimTime::from_ns(4));
-        // After take(), clones record into a fresh empty buffer.
-        assert_eq!(clone.offered(), 0);
+        let buf = tr.into_buffer();
+        assert_eq!(buf.records()[0].time, SimTime::from_ns(3));
+        assert_eq!((buf.len(), buf.dropped()), (1, 1));
     }
 
     #[test]
@@ -1021,9 +985,36 @@ mod tests {
         ));
         let m = TimelineMetrics::derive(&b, 2);
         assert_eq!(m.windows, 2);
-        assert!(m.cache_hit_rate[0] > 0.9, "{:?}", m.cache_hit_rate);
-        assert!(m.cache_hit_rate[1] < 0.2, "{:?}", m.cache_hit_rate);
+        assert_eq!(m.cache_hit_rate, [Some(1.0), Some(0.0)]);
         assert_eq!(m.link_backlog_high_water_ps, 777);
+    }
+
+    /// A window that holds no sample of a rate reports `None`, not 0:
+    /// here the second of three windows has no lookup, no RIG decision
+    /// and no flush, and the third a real 0% hit rate.
+    #[test]
+    fn empty_windows_have_no_rate() {
+        let mut b = TraceBuffer::new(16);
+        let cache = TrackId::switch(0, lane::CACHE);
+        let rig = TrackId::node(0, lane::RIG_BASE);
+        b.record(rec(0, cache, TraceEvent::CacheHit { idx: 1 }));
+        b.record(rec(0, rig, TraceEvent::Coalesced { idx: 1 }));
+        b.record(rec(0, rig, TraceEvent::PrIssued { idx: 2 }));
+        b.record(rec(
+            0,
+            TrackId::node(0, lane::CONCAT),
+            TraceEvent::ConcatFlush {
+                reason: FlushReason::Full,
+                prs: 4,
+                wire_bytes: 134,
+            },
+        ));
+        b.record(rec(4, rig, TraceEvent::PrResolved { idx: 2 }));
+        b.record(rec(8, cache, TraceEvent::CacheMiss { idx: 3 }));
+        let m = TimelineMetrics::derive(&b, 3);
+        assert_eq!(m.cache_hit_rate, [Some(1.0), None, Some(0.0)]);
+        assert_eq!(m.coalescing_ratio, [Some(0.5), None, None]);
+        assert_eq!(m.flush_prs_mean, [Some(4.0), None, None]);
     }
 
     #[test]

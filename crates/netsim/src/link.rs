@@ -1,6 +1,5 @@
 //! Link timing: serialization, propagation and backlog tracking.
 
-use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
 use netsparse_desim::SimTime;
 
 /// Static link parameters.
@@ -64,7 +63,6 @@ pub struct Link {
     /// link mostly carries runs of one size, so this spares the f64
     /// divide-and-round of [`LinkParams::serialization`] per packet.
     last_serialization: (u64, SimTime),
-    tracer: Option<(Tracer, TrackId)>,
 }
 
 impl Link {
@@ -77,15 +75,7 @@ impl Link {
             bytes: 0,
             packets: 0,
             last_serialization: (0, params.serialization(0)),
-            tracer: None,
         }
-    }
-
-    /// Attaches a tracer; every transmit is recorded as a `link_tx` on
-    /// `track` (this link's wire lane), carrying the packet's bytes and
-    /// the queueing delay it saw.
-    pub fn set_tracer(&mut self, tracer: Tracer, track: TrackId) {
-        self.tracer = Some((tracer, track));
     }
 
     /// The link's static parameters.
@@ -105,19 +95,12 @@ impl Link {
         self.busy_until = depart + self.last_serialization.1;
         self.bytes += bytes;
         self.packets += 1;
-        if let Some((tracer, track)) = &self.tracer {
-            tracer.record(
-                *track,
-                TraceEvent::LinkTx {
-                    bytes: bytes as u32,
-                    backlog_ps: backlog.as_ps(),
-                },
-            );
-        }
         self.busy_until + self.params.latency
     }
 
-    /// When the wire next becomes free.
+    /// When the wire next becomes free: read before a
+    /// [`Link::transmit`] at `now`, `busy_until - now` (saturating) is
+    /// the queueing delay that packet sees.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
     }

@@ -33,7 +33,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use netsparse_desim::trace::{FlushReason, TraceEvent, Tracer, TrackId};
+use netsparse_desim::trace::FlushReason;
 use netsparse_desim::{Histogram, SimTime};
 
 use crate::protocol::{HeaderSpec, Pr, PrKind, PR_KINDS};
@@ -80,38 +80,16 @@ pub struct ConcatPacket {
     /// Total wire bytes (upper + concat headers + per-PR headers +
     /// payloads).
     pub wire_bytes: u64,
+    /// Why the point sealed the packet. A degraded-mode singleton
+    /// ([`ConcatPoint::degraded_singleton`]) carries
+    /// [`FlushReason::Bypass`]: it never entered a queue.
+    pub reason: FlushReason,
     /// Degraded-mode marker: emitted by a node whose watchdog retry budget
     /// ran out. Switches forward such packets verbatim — no property-cache
     /// probe, no reconcatenation — so delivery no longer depends on the
     /// NetSparse extensions that kept failing (e.g. a dead rack switch on
     /// the cached path).
     pub degraded: bool,
-}
-
-impl ConcatPacket {
-    /// Builds a degraded-mode singleton: one PR in its own packet,
-    /// bypassing every concatenation queue, flagged for forward-only
-    /// switch handling.
-    pub fn degraded_singleton(
-        headers: &HeaderSpec,
-        dest: u32,
-        kind: PrKind,
-        pr: Pr,
-        payload: u32,
-    ) -> Self {
-        ConcatPacket {
-            dest,
-            kind,
-            payload_per_pr: payload,
-            wire_bytes: headers.packet_bytes(1, payload),
-            #[expect(
-                clippy::disallowed_macros,
-                reason = "a degraded-mode PR travels alone in a packet of its own (§7.1)"
-            )]
-            prs: vec![pr],
-            degraded: true,
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -210,7 +188,6 @@ pub struct ConcatPoint {
     expired: Vec<usize>,
     pool: Option<Pool>,
     prs_per_packet: Histogram,
-    tracer: Option<(Tracer, TrackId)>,
 }
 
 /// The slab slot of a `(dest, kind)` CQ: destinations are dense ids, so
@@ -271,7 +248,6 @@ impl ConcatPoint {
             expired: Vec::new(),
             pool,
             prs_per_packet: Histogram::new(),
-            tracer: None,
         }
     }
 
@@ -286,10 +262,29 @@ impl ConcatPoint {
         }
     }
 
-    /// Attaches a tracer; every emitted packet is recorded as a
-    /// `concat_flush` on `track` (the owner's concat lane).
-    pub fn set_tracer(&mut self, tracer: Tracer, track: TrackId) {
-        self.tracer = Some((tracer, track));
+    /// Builds a degraded-mode singleton (§7.1): `pr` alone in a packet
+    /// that bypasses every concatenation queue and that switches forward
+    /// verbatim. Its buffer comes from the spare pool, as a CQ's does; the
+    /// packet is neither queued nor counted in
+    /// [`ConcatPoint::prs_per_packet`].
+    pub fn degraded_singleton(
+        &mut self,
+        dest: u32,
+        kind: PrKind,
+        pr: Pr,
+        payload: u32,
+    ) -> ConcatPacket {
+        let mut prs = self.spare.pop().unwrap_or_default();
+        prs.push(pr);
+        ConcatPacket {
+            dest,
+            kind,
+            payload_per_pr: payload,
+            wire_bytes: self.cfg.headers.packet_bytes(1, payload),
+            prs,
+            reason: FlushReason::Bypass,
+            degraded: true,
+        }
     }
 
     /// Pushes a PR bound for `dest`, handing every packet the push seals
@@ -538,22 +533,13 @@ impl ConcatPoint {
         debug_assert!(!prs.is_empty());
         let wire_bytes = self.cfg.headers.packet_bytes(prs.len() as u32, payload);
         self.prs_per_packet.record(prs.len() as u64);
-        if let Some((tracer, track)) = &self.tracer {
-            tracer.record(
-                *track,
-                TraceEvent::ConcatFlush {
-                    reason,
-                    prs: prs.len() as u32,
-                    wire_bytes: wire_bytes as u32,
-                },
-            );
-        }
         ConcatPacket {
             dest,
             kind,
             payload_per_pr: payload,
             prs,
             wire_bytes,
+            reason,
             degraded: false,
         }
     }
@@ -773,16 +759,67 @@ mod tests {
     #[test]
     fn degraded_singleton_bypasses_queues() {
         let headers = HeaderSpec::paper();
-        let p = ConcatPacket::degraded_singleton(&headers, 9, PrKind::Response, pr(3), 64);
-        assert!(p.degraded);
-        assert_eq!(p.prs.len(), 1);
-        assert_eq!(p.dest, 9);
-        // Same wire cost as a disabled-concat singleton of equal payload.
-        assert_eq!(p.wire_bytes, headers.packet_bytes(1, 64));
-        // Normal concatenator output is never flagged degraded.
         for mut c in points(cfg(10)) {
+            let spare: Vec<Pr> = Vec::with_capacity(8);
+            let spare_at = spare.as_ptr();
+            c.recycle(spare);
+            let p = c.degraded_singleton(9, PrKind::Response, pr(3), 64);
+            assert!(p.degraded);
+            assert_eq!((p.dest, p.reason), (9, FlushReason::Bypass));
+            assert_eq!(p.prs, [pr(3)]);
+            assert_eq!(p.prs.as_ptr(), spare_at, "the spare buffer carries it");
+            // Same wire cost as a disabled-concat singleton of equal payload.
+            assert_eq!(p.wire_bytes, headers.packet_bytes(1, 64));
+            // Neither queued nor counted as a concatenated packet.
+            assert_eq!((c.queued_prs(), c.prs_per_packet().count()), (0, 0));
+            assert_eq!(c.next_expiry(), None);
+            // With no spare left, it gets a fresh buffer.
+            assert_eq!(c.degraded_singleton(9, PrKind::Read, pr(4), 0).prs, [pr(4)]);
+            // Normal concatenator output is never flagged degraded.
             assert!(c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0).is_empty());
             assert!(c.flush_all().iter().all(|p| !p.degraded));
+        }
+    }
+
+    /// Every packet names why it was sealed: a bypass when concatenation
+    /// is off or the PR outgrows the whole pool, a full MTU, pool
+    /// pressure on a virtual point, an expiry and a drain.
+    #[test]
+    fn each_packet_carries_its_seal_reason() {
+        use FlushReason::{Bypass, Drained, Expired, Full, Pressure};
+        let reasons = |pkts: Vec<ConcatPacket>| -> Vec<FlushReason> {
+            pkts.into_iter().map(|p| p.reason).collect()
+        };
+        for mut c in points(ConcatConfig::disabled(HeaderSpec::paper())) {
+            assert_eq!(
+                reasons(c.push(SimTime::ZERO, 1, PrKind::Read, pr(1), 0)),
+                [Bypass]
+            );
+        }
+        // One 64 B physical CQ cannot hold a 64 B property plus its header.
+        let tiny = VirtualCqConfig {
+            physical_queues: 1,
+            physical_bytes: 64,
+        };
+        let mut c = ConcatPoint::virtualized(cfg(100), tiny);
+        let oversized = c.push(SimTime::ZERO, 1, PrKind::Response, pr(1), 64);
+        assert_eq!(reasons(oversized), [Bypass]);
+        // The pool's one CQ holds dest 1's read; dest 2's evicts it.
+        assert!(c.push(SimTime::ZERO, 1, PrKind::Read, pr(2), 0).is_empty());
+        assert_eq!(
+            reasons(c.push(SimTime::ZERO, 2, PrKind::Read, pr(3), 0)),
+            [Pressure]
+        );
+        for mut c in points(cfg(100)) {
+            let cap = HeaderSpec::paper().prs_per_mtu(1_500, 0);
+            let mut sealed = Vec::new();
+            for i in 0..=cap {
+                sealed.extend(c.push(SimTime::ZERO, 1, PrKind::Read, pr(i), 0));
+            }
+            sealed.extend(c.flush_expired(SimTime::from_ns(100)));
+            c.push(SimTime::from_ns(100), 2, PrKind::Read, pr(0), 0);
+            sealed.extend(c.flush_all());
+            assert_eq!(reasons(sealed), [Full, Expired, Drained]);
         }
     }
 

@@ -20,7 +20,6 @@
 use crate::filter::IdxFilter;
 use crate::pending::PendingTable;
 use crate::protocol::Pr;
-use netsparse_desim::trace::{lane, TraceEvent, Tracer, TrackId};
 
 /// What the RIG pipeline decided for one idx.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +79,6 @@ pub struct RigClient {
     pending: PendingTable,
     next_req_id: u32,
     stats: RigStats,
-    tracer: Option<Tracer>,
 }
 
 impl RigClient {
@@ -111,23 +109,6 @@ impl RigClient {
             pending,
             next_req_id: 0,
             stats: RigStats::default(),
-            tracer: None,
-        }
-    }
-
-    /// Attaches a tracer; pipeline decisions are recorded on this unit's
-    /// `rig` lane of the node's track.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    #[inline]
-    fn trace(&self, event: TraceEvent) {
-        if let Some(tr) = &self.tracer {
-            tr.record(
-                TrackId::node(self.node, lane::RIG_BASE + self.tid as u32),
-                event,
-            );
         }
     }
 
@@ -177,12 +158,10 @@ impl RigClient {
         }
         if coalesce_enabled && self.pending.contains(idx) {
             self.stats.coalesced += 1;
-            self.trace(TraceEvent::Coalesced { idx });
             return IdxOutcome::Coalesced;
         }
         if filter_enabled && filter.contains(idx) {
             self.stats.filtered += 1;
-            self.trace(TraceEvent::FilterHit { idx });
             return IdxOutcome::Filtered;
         }
         // Without coalescing, a duplicate outstanding idx must still not be
@@ -197,18 +176,13 @@ impl RigClient {
                 idx,
                 req_id: self.bump_req_id(),
             };
-            self.trace(TraceEvent::PrIssued { idx });
             return IdxOutcome::Issued(pr);
         }
         if !self.pending.insert(idx) {
             self.stats.stalls += 1;
-            self.trace(TraceEvent::Stalled {
-                outstanding: self.pending.len() as u32,
-            });
             return IdxOutcome::Stalled;
         }
         self.stats.issued += 1;
-        self.trace(TraceEvent::PrIssued { idx });
         IdxOutcome::Issued(Pr {
             src_node: self.node,
             src_tid: self.tid,

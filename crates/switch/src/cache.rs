@@ -16,8 +16,6 @@
 //! a probe scans one set's tags contiguously (64 bytes at 16 ways) and
 //! reads a stamp only to refresh it or to pick a victim.
 
-use netsparse_desim::trace::{TraceEvent, Tracer, TrackId};
-
 /// Replacement policy of the Property Cache. The paper's design point is
 /// LRU (Table 5); the alternatives exist for the policy ablation — FIFO
 /// ignores reuse, random needs no per-line state at all.
@@ -78,6 +76,19 @@ impl Default for PropertyCacheConfig {
 /// Tag of an invalid line. No idx can take it (`idx < n_cols ≤
 /// u32::MAX`), the same reservation the Pending PR Table makes.
 const INVALID: u32 = u32::MAX;
+
+/// What [`PropertyCache::insert`] (or [`MiddlePipes::insert`]) did.
+///
+/// [`MiddlePipes::insert`]: crate::MiddlePipes::insert
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Insertion {
+    /// Nothing: the idx was already cached (or there is no bank).
+    Unchanged,
+    /// The property filled a free way.
+    Filled,
+    /// The property replaced the valid line that held this idx.
+    Evicted(u32),
+}
 
 /// Hit/miss counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -170,7 +181,6 @@ pub struct PropertyCache {
     stamps: Vec<u64>,
     tick: u64,
     stats: CacheStats,
-    tracer: Option<(Tracer, TrackId)>,
 }
 
 impl PropertyCache {
@@ -217,20 +227,6 @@ impl PropertyCache {
             stamps: vec![0; lines],
             tick: 0,
             stats: CacheStats::default(),
-            tracer: None,
-        }
-    }
-
-    /// Attaches a tracer; probes and deposits are recorded on `track`
-    /// (the owning switch's cache lane).
-    pub fn set_tracer(&mut self, tracer: Tracer, track: TrackId) {
-        self.tracer = Some((tracer, track));
-    }
-
-    #[inline]
-    fn trace(&self, event: TraceEvent) {
-        if let Some((tracer, track)) = &self.tracer {
-            tracer.record(*track, event);
         }
     }
 
@@ -317,11 +313,9 @@ impl PropertyCache {
                 self.stamps[line] = self.tick;
             }
             self.stats.hits += 1;
-            self.trace(TraceEvent::CacheHit { idx });
             return true;
         }
         self.stats.misses += 1;
-        self.trace(TraceEvent::CacheMiss { idx });
         false
     }
 
@@ -335,11 +329,12 @@ impl PropertyCache {
     /// PR's property is saved in the cache"). The victim is the set's
     /// first invalid way; in a full set it is the first way with the
     /// oldest stamp (LRU, FIFO) or a hash of the tick and idx (random).
+    /// Returns what the deposit did.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is `u32::MAX`, the invalid-line tag.
-    pub fn insert(&mut self, idx: u32) {
+    pub fn insert(&mut self, idx: u32) -> Insertion {
         assert!(
             idx != INVALID,
             "idx u32::MAX is the invalid-line tag and cannot be cached"
@@ -349,7 +344,7 @@ impl PropertyCache {
         let (base, end) = self.set_bounds(idx);
         let tags = &self.tags[base..end];
         if tags.contains(&idx) {
-            return; // already present: no action
+            return Insertion::Unchanged; // already present: no action
         }
         let way = match tags.iter().position(|&t| t == INVALID) {
             Some(way) => way,
@@ -368,16 +363,15 @@ impl PropertyCache {
                 .map_or(0, |(way, _)| way),
         };
         let line = base + way;
-        if self.tags[line] != INVALID {
-            self.stats.evictions += 1;
-            self.trace(TraceEvent::CacheEvict {
-                idx: self.tags[line],
-            });
-        }
-        self.tags[line] = idx;
+        let victim = std::mem::replace(&mut self.tags[line], idx);
         self.stamps[line] = tick;
         self.stats.insertions += 1;
-        self.trace(TraceEvent::CacheInsert { idx });
+        if victim == INVALID {
+            Insertion::Filled
+        } else {
+            self.stats.evictions += 1;
+            Insertion::Evicted(victim)
+        }
     }
 
     /// Invalidates everything (control-plane reset before a kernel).
@@ -633,6 +627,45 @@ mod tests {
         c.insert(5);
         c.insert(5);
         assert_eq!(c.stats().insertions, 1);
+    }
+
+    /// `insert` says what it did under every policy: nothing for an idx
+    /// already cached, a fill while the set has a free way, and the idx
+    /// it evicted once the set is full.
+    #[test]
+    fn insert_reports_unchanged_filled_or_the_evicted_idx() {
+        let policies = [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ];
+        for policy in policies {
+            // One set of 16 ways at 512 B lines: every idx maps to it.
+            let cfg = PropertyCacheConfig {
+                capacity_bytes: 16 * 512,
+                policy,
+                ..PropertyCacheConfig::paper()
+            };
+            let mut c = PropertyCache::new(cfg, 512);
+            for i in 0..16 {
+                assert_eq!(c.insert(i * 32), Insertion::Filled, "{policy:?}");
+            }
+            assert_eq!(c.insert(5 * 32), Insertion::Unchanged, "{policy:?}");
+            // idx 0 is the oldest line but the most recently used.
+            assert!(c.lookup(0));
+            let victim = match c.insert(16 * 32) {
+                Insertion::Evicted(victim) => victim,
+                other => panic!("{policy:?}: a full set evicts, got {other:?}"),
+            };
+            match policy {
+                ReplacementPolicy::Lru => assert_eq!(victim, 32),
+                ReplacementPolicy::Fifo => assert_eq!(victim, 0),
+                ReplacementPolicy::Random => assert!(victim % 32 == 0 && victim < 16 * 32),
+            }
+            assert!(!c.contains(victim) && c.contains(16 * 32), "{policy:?}");
+            let s = c.stats();
+            assert_eq!((s.insertions, s.evictions), (17, 1), "{policy:?}");
+        }
     }
 
     #[test]

@@ -37,6 +37,6 @@ pub mod cache;
 pub mod pipes;
 pub mod reduce;
 
-pub use cache::{PropertyCache, PropertyCacheConfig, ReplacementPolicy};
+pub use cache::{Insertion, PropertyCache, PropertyCacheConfig, ReplacementPolicy};
 pub use pipes::{MiddlePipes, SwitchConfig};
 pub use reduce::{ReduceStats, ReduceTable};

@@ -10,9 +10,7 @@
 //! function both packet types agree on, implementable in hardware from the
 //! PR-layer headers.
 
-use netsparse_desim::trace::{Tracer, TrackId};
-
-use crate::cache::{CacheStats, PropertyCache, PropertyCacheConfig};
+use crate::cache::{CacheStats, Insertion, PropertyCache, PropertyCacheConfig};
 
 /// Switch parameters (Table 5, "Switches" rows).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,21 +104,14 @@ impl MiddlePipes {
         !self.banks.is_empty()
     }
 
-    /// Attaches a tracer to every bank; all banks share `track` (the
-    /// switch's cache lane — bank interleaving is a simulation detail).
-    pub fn set_tracer(&mut self, tracer: Tracer, track: TrackId) {
-        for b in &mut self.banks {
-            b.set_tracer(tracer.clone(), track);
-        }
-    }
-
     /// The bank index serving properties homed at `home`.
     #[must_use]
     pub fn bank_of(&self, home: u32) -> usize {
         (home as usize) % self.banks.len().max(1)
     }
 
-    /// Read-PR probe for `idx` homed at `home`.
+    /// Read-PR probe for `idx` homed at `home`: whether it hit. Without
+    /// banks nothing is probed and nothing hits.
     pub fn lookup(&mut self, home: u32, idx: u32) -> bool {
         if self.banks.is_empty() {
             return false;
@@ -129,13 +120,14 @@ impl MiddlePipes {
         self.banks[b].lookup(idx)
     }
 
-    /// Response-PR deposit for `idx` homed at `home`.
-    pub fn insert(&mut self, home: u32, idx: u32) {
+    /// Response-PR deposit for `idx` homed at `home`; returns what it
+    /// did ([`Insertion::Unchanged`] without banks).
+    pub fn insert(&mut self, home: u32, idx: u32) -> Insertion {
         if self.banks.is_empty() {
-            return;
+            return Insertion::Unchanged;
         }
         let b = self.bank_of(home);
-        self.banks[b].insert(idx);
+        self.banks[b].insert(idx)
     }
 
     /// Aggregated statistics across banks.
@@ -208,7 +200,7 @@ mod tests {
     fn zero_capacity_disables_cache() {
         let mut p = pipes(0, 64);
         assert!(!p.enabled());
-        p.insert(1, 2); // no-ops
+        assert_eq!(p.insert(1, 2), Insertion::Unchanged);
         assert!(!p.lookup(1, 2));
         assert_eq!(p.stats().lookups, 0);
     }

@@ -14,10 +14,10 @@
 # auditor (the tracer is in every build; see docs/OBSERVABILITY.md), the
 # repo benchmark's tests in its per-layer (`trace`) build, one end-to-end
 # and one per-layer uk_full pass of the standalone benchmark package
-# through its run.py, a smoke run of the ext_fault_sweep section of the
-# `repro` binary, byte-for-byte checks of the table1, table4, table7,
-# characterize, ext_virtual_cq and ext_trace sections against the
-# committed docs/sample_output/repro_all.txt, the
+# through its run.py, byte-for-byte checks of the ext_fault_sweep,
+# table1, table4, table7, characterize, ext_virtual_cq and ext_trace
+# sections of the `repro` binary against the committed
+# docs/sample_output/repro_all.txt, the
 # serial-vs-parallel sweep equivalence suite, a timed
 # serial-vs-parallel sweep smoke via
 # `bench_sweep`, whose serial vs parallel wall-clock JSON goes to the
@@ -78,7 +78,9 @@ if [[ "$fast" -eq 0 ]]; then
     # Fault injection + recovery with the runtime invariant auditor on
     # in release mode (debug runs already audit via debug_assertions).
     run cargo test -q -p netsparse-tests --features audit --release --test fault_recovery
-    run cargo run --release -q -p netsparse-bench --bin repro -- ext_fault_sweep
+    # The fault sweep's loss, burst, dead-spine, straggler and failover
+    # rows must print exactly as committed.
+    check_section ext_fault_sweep "Extension: fault sweep (§7.1 extended)"
     # Committed-output pins: Table 1, Table 4 and the workload
     # characterization read every generated stream of the five matrices
     # at scale 1, and Table 7 simulates each with every mechanism on.
